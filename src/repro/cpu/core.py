@@ -17,7 +17,7 @@ from typing import Callable, Optional, Tuple
 from repro.cpu.lfb import LineFillBuffer
 from repro.cpu.workloads import OP_NT_STORE, MemoryWorkload
 from repro.dram.controller import MemoryController
-from repro.sim.engine import Simulator
+from repro.sim.engine import Alarm, Simulator
 from repro.sim.records import (
     Request,
     RequestKind,
@@ -84,7 +84,7 @@ class Core:
         #: hostCC [2] actuates (used by repro.ext.hostcc).
         self.throttle_gap_ns = 0.0
         self._next_issue_allowed = 0.0
-        self._wake_event = None
+        self._wake_alarm = Alarm(sim, self._try_issue)
         self.reads_completed = 0
         self.stores_completed = 0
 
@@ -108,7 +108,7 @@ class Core:
         now = self._sim.now
         while self.lfb.has_free_entry:
             if self.throttle_gap_ns > 0 and now < self._next_issue_allowed:
-                self._arm_wake_at(self._next_issue_allowed)
+                self._wake_alarm.arm(self._next_issue_allowed)
                 return
             nxt = self.workload.try_next(now)
             if nxt is None:
@@ -135,7 +135,7 @@ class Core:
             if free <= 0:
                 return  # completions re-enter via _try_issue
             if self.throttle_gap_ns > 0 and now < self._next_issue_allowed:
-                self._arm_wake_at(self._next_issue_allowed)
+                self._wake_alarm.arm(self._next_issue_allowed)
                 return
             nxt = self._pending_op
             if nxt is not None:
@@ -154,7 +154,7 @@ class Core:
             # parallelism the per-line simulation exploits.
             mapper = self._mc.mapper
             groups: dict = {}
-            groups.setdefault(mapper.map(addr).channel, []).append(addr)
+            groups.setdefault(mapper.decode(addr)[0], []).append(addr)
             n = 1
             while n < cap:
                 follow = workload.try_next(now)
@@ -166,7 +166,7 @@ class Core:
                     # macro-request rather than joining this one.
                     self._pending_op = follow
                     break
-                groups.setdefault(mapper.map(follow[0]).channel, []).append(
+                groups.setdefault(mapper.decode(follow[0])[0], []).append(
                     follow[0]
                 )
                 n += 1
@@ -190,22 +190,8 @@ class Core:
 
     def _arm_wake(self) -> None:
         wake = self.workload.wake_time(self._sim.now)
-        if wake is None:
-            return
-        self._arm_wake_at(wake)
-
-    def _arm_wake_at(self, wake: float) -> None:
-        if self._wake_event is not None and not self._wake_event.cancelled:
-            if self._wake_event.time <= wake:
-                return
-            self._wake_event.cancel()
-        self._wake_event = self._sim.schedule_at_cancellable(
-            max(wake, self._sim.now), self._on_wake
-        )
-
-    def _on_wake(self) -> None:
-        self._wake_event = None
-        self._try_issue()
+        if wake is not None:
+            self._wake_alarm.arm(wake)
 
     def _issue(
         self, addr: int, is_store: bool, now: float, n: int = 1,

@@ -72,41 +72,27 @@ class AddressMapper:
         self._channel_mask = n_channels - 1
         self._channel_shift = n_channels.bit_length() - 1
         self._column_mask = lines_per_row - 1
-        self._column_shift = lines_per_row.bit_length() - 1
+        # channel and column bits skipped in one shift to reach the bank
+        self._bank_row_shift = self._channel_shift + lines_per_row.bit_length() - 1
         self._bank_mask = n_banks - 1
         self._bank_shift = n_banks.bit_length() - 1
-        # Memo of recent decodes. Requests revisit lines on short
-        # timescales (read then writeback, RPQ/WPQ re-examination), so
-        # a bounded memo captures most repeats; it is cleared when full
-        # rather than evicting so GB-scale streams cannot grow it
-        # without bound.
-        self._memo: dict = {}
-        self._memo_limit = 1 << 16
 
-    def map(self, line_addr: int) -> MappedAddress:
-        """Decode a cacheline address (memoized)."""
-        mapped = self._memo.get(line_addr)
-        if mapped is not None:
-            return mapped
-        mapped = self._map_uncached(line_addr)
-        if len(self._memo) >= self._memo_limit:
-            self._memo.clear()
-        self._memo[line_addr] = mapped
-        return mapped
+    def decode(self, line_addr: int) -> tuple:
+        """Decode a cacheline address to ``(channel, bank, row)``.
 
-    def _map_uncached(self, line_addr: int) -> MappedAddress:
+        The per-request hot path: builds no object. Every line is
+        typically mapped once, so there is nothing worth memoizing.
+        """
         if line_addr < 0:
             raise ValueError("line_addr must be non-negative")
-        channel = line_addr & self._channel_mask
-        rest = line_addr >> self._channel_shift
-        column = rest & self._column_mask
-        rest >>= self._column_shift
-        bank = rest & self._bank_mask
+        rest = line_addr >> self._bank_row_shift
         row = rest >> self._bank_shift
         if self.xor_hash:
-            bank ^= row & self._bank_mask
-        return MappedAddress(channel=channel, bank=bank, row=row, column=column)
+            rest ^= row
+        return line_addr & self._channel_mask, rest & self._bank_mask, row
 
-    def lines_per_bank_visit(self) -> int:
-        """Consecutive per-channel lines that land in one bank's row."""
-        return self.lines_per_row
+    def map(self, line_addr: int) -> MappedAddress:
+        """Decode a cacheline address, column included."""
+        channel, bank, row = self.decode(line_addr)
+        column = (line_addr >> self._channel_shift) & self._column_mask
+        return MappedAddress(channel=channel, bank=bank, row=row, column=column)

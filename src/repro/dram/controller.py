@@ -28,7 +28,7 @@ from repro.dram.bank import Bank
 from repro.dram.kernel import ChannelKernel, kernel_enabled
 from repro.dram.regulator import BankRegulator
 from repro.dram.timing import DramTiming
-from repro.sim.engine import Simulator
+from repro.sim.engine import Alarm, Simulator
 from repro.sim.records import (
     CACHELINE_BYTES,
     Request,
@@ -135,7 +135,7 @@ class Channel:
         self._wpq_full_since = None
         self._wpq_full_time = 0.0
         self._window_start = 0.0
-        self._pump_event = None
+        self._pump_alarm = Alarm(sim, self._pump)
         # Lines sitting in the per-bank FIFOs, maintained incrementally
         # (reference path; the kernel keeps its own pair).
         self._queued_read_lines = 0
@@ -242,7 +242,7 @@ class Channel:
         req.t_queue_admit = now
         self._queued_read_lines += lines
         self.banks[req.bank_id].enqueue(req)
-        self._schedule_pump(now)
+        self._pump_alarm.arm(max(now, self._busy_until))
 
     def enqueue_write(self, req: Request) -> None:
         """Admit a write into the WPQ; the write is now *complete* from
@@ -258,7 +258,7 @@ class Channel:
         self.banks[req.bank_id].enqueue(req)
         if req.on_complete is not None:
             req.on_complete(req)
-        self._schedule_pump(now)
+        self._pump_alarm.arm(max(now, self._busy_until))
 
     # ------------------------------------------------------------------
     # Stats hooks (called by banks)
@@ -293,26 +293,16 @@ class Channel:
 
     def notify_bank_ready(self) -> None:
         """A bank finished preparing a head request; try to transmit."""
-        self._schedule_pump(self._sim.now)
+        self._pump_alarm.arm(max(self._sim.now, self._busy_until))
 
     # ------------------------------------------------------------------
     # Scheduler
     # ------------------------------------------------------------------
 
-    def _schedule_pump(self, at: float) -> None:
-        at = max(at, self._busy_until)
-        event = self._pump_event
-        if event is not None and not event.cancelled and event.time <= at:
-            return
-        if event is not None:
-            event.cancel()
-        self._pump_event = self._sim.schedule_at_cancellable(at, self._pump)
-
     def _pump(self) -> None:
-        self._pump_event = None
         now = self._sim.now
         if now < self._busy_until:
-            self._schedule_pump(self._busy_until)
+            self._pump_alarm.arm(self._busy_until)
             return
         if self.mode is RequestKind.READ:
             self._pump_read_mode()
@@ -342,8 +332,9 @@ class Channel:
             self._transmit(ready)
         elif self._reg_retry is not None:
             # Every otherwise-ready bank is token-blocked; re-arm the
-            # pump at the earliest bucket refill.
-            self._schedule_pump(self._reg_retry)
+            # pump at the earliest bucket refill (busy_until <= now <=
+            # retry, so no busy clamp is needed).
+            self._pump_alarm.arm(self._reg_retry)
         # else: the head banks are preparing; their completions re-pump.
 
     def _pump_write_mode(self) -> None:
@@ -366,7 +357,7 @@ class Channel:
         if ready is not None:
             self._transmit(ready)
         elif self._reg_retry is not None:
-            self._schedule_pump(self._reg_retry)
+            self._pump_alarm.arm(self._reg_retry)
         # else: bounded wait for the write bank preparation in flight.
 
     def _switch_mode(self, target: RequestKind) -> None:
@@ -384,7 +375,7 @@ class Channel:
         # Bank preparation overlaps the turnaround.
         for bank in self.banks:
             bank.maybe_start_prep()
-        self._schedule_pump(self._busy_until)
+        self._pump_alarm.arm(self._busy_until)
 
     def _pick_ready(self, kind: RequestKind) -> Optional[Request]:
         """Oldest request (by queue-admission order) whose bank is ready.
@@ -479,7 +470,7 @@ class Channel:
             # and nothing downstream keeps a reference.
             release_request(req)
         bank.maybe_start_prep()
-        self._schedule_pump(now)
+        self._pump_alarm.arm(max(now, self._busy_until))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -613,9 +604,8 @@ class MemoryController:
 
     def assign(self, req: Request) -> Channel:
         """Decode the request's address and return its home channel."""
-        mapped = self.mapper.map(req.line_addr)
-        req.channel_id = mapped.channel
-        bank = mapped.bank
+        channel, bank, row = self.mapper.decode(req.line_addr)
+        req.channel_id = channel
         if self.bank_partitions > 1:
             pid = self._class_partitions.get(req.traffic_class)
             if pid is None:
@@ -623,8 +613,8 @@ class MemoryController:
                 self._class_partitions[req.traffic_class] = pid
             bank = pid * self._part_size + bank % self._part_size
         req.bank_id = bank
-        req.row_id = mapped.row
-        return self.channels[mapped.channel]
+        req.row_id = row
+        return self.channels[channel]
 
     @property
     def theoretical_bandwidth(self) -> float:

@@ -46,6 +46,7 @@ import os
 from collections import defaultdict, deque
 from typing import TYPE_CHECKING
 
+from repro.sim.engine import Alarm
 from repro.sim.records import RequestKind, RequestSource, release_request
 
 try:  # pragma: no cover - exercised via monkeypatch in tests
@@ -119,7 +120,7 @@ class ChannelKernel:
         "ch_busy",
         "served",
         "admit_seq",
-        "pump_event",
+        "pump_alarm",
         # queue-policy constants
         "wpq_hi",
         "wpq_lo",
@@ -190,7 +191,7 @@ class ChannelKernel:
         self.ch_busy = 0.0
         self.served = 0
         self.admit_seq = 0
-        self.pump_event = None
+        self.pump_alarm = Alarm(self._sim, self.pump)
         self.wpq_hi = channel.wpq_hi
         self.wpq_lo = channel.wpq_lo
         self.min_write_drain = channel.min_write_drain
@@ -262,7 +263,7 @@ class ChannelKernel:
                 self.match_r[b] = seq
         if not self.prep_pending[b]:
             self._maybe_prep(b, now)
-        self._schedule_pump(now)
+        self.pump_alarm.arm(now if now > self.ch_busy else self.ch_busy)
 
     def enqueue_write(self, req) -> None:
         sim = self._sim
@@ -299,7 +300,7 @@ class ChannelKernel:
         cb = req.on_complete
         if cb is not None:
             cb(req)
-        self._schedule_pump(now)
+        self.pump_alarm.arm(now if now > self.ch_busy else self.ch_busy)
 
     # ------------------------------------------------------------------
     # Bank preparation (fused Bank.maybe_start_prep / _on_prep_done)
@@ -328,7 +329,7 @@ class ChannelKernel:
                 hl = head.lines
                 if hl > 1:
                     oc[base] += hl - 1
-            self._schedule_pump(now)
+            self.pump_alarm.arm(now if now > self.ch_busy else self.ch_busy)
             return
         cost = self.t_act_cas
         conflict = orow != -1
@@ -381,7 +382,7 @@ class ChannelKernel:
                 hl = head.lines
                 if hl > 1:
                     oc[base] += hl - 1
-            self._schedule_pump(now)
+            self.pump_alarm.arm(now if now > self.ch_busy else self.ch_busy)
         else:
             self._maybe_prep(b, now)
 
@@ -389,23 +390,10 @@ class ChannelKernel:
     # Scheduler (fused Channel._pump/_pick_ready/_transmit)
     # ------------------------------------------------------------------
 
-    def _schedule_pump(self, at: float) -> None:
-        busy = self.ch_busy
-        if busy > at:
-            at = busy
-        event = self.pump_event
-        if event is not None and not event.cancelled and event.time <= at:
-            return
-        if event is not None:
-            event.cancel()
-        self.pump_event = self._sim.schedule_at_cancellable(at, self.pump)
-
     def pump(self) -> None:
-        self.pump_event = None
-        sim = self._sim
-        now = sim.now
+        now = self._sim.now
         if now < self.ch_busy:
-            self._schedule_pump(self.ch_busy)
+            self.pump_alarm.arm(self.ch_busy)
             return
         if self.mode_read:
             if self.rpq_occ.value == 0:
@@ -444,8 +432,9 @@ class ChannelKernel:
                             best_b = b
                 if best_b < 0 and retry >= 0.0:
                     # Every otherwise-ready bank is token-blocked;
-                    # re-arm the pump at the earliest bucket refill.
-                    self._schedule_pump(retry)
+                    # re-arm the pump at the earliest bucket refill
+                    # (ch_busy <= now <= retry: no busy clamp needed).
+                    self.pump_alarm.arm(retry)
                     return
             if best_b < 0:
                 return  # head banks are preparing; completions re-pump
@@ -508,7 +497,7 @@ class ChannelKernel:
                             best_b = b
             if best_b < 0:
                 if retry >= 0.0:
-                    self._schedule_pump(retry)
+                    self.pump_alarm.arm(retry)
                 return
             self._transmit_write(best_b, now)
 
@@ -622,7 +611,7 @@ class ChannelKernel:
             cb(self.channel_id)
         if not self.prep_pending[b]:
             self._maybe_prep(b, now)
-        self._schedule_pump(now)
+        self.pump_alarm.arm(now if now > self.ch_busy else self.ch_busy)
 
     def _on_transmit_done_write(self, req, b: int) -> None:
         sim = self._sim
@@ -644,7 +633,7 @@ class ChannelKernel:
         release_request(req)
         if not self.prep_pending[b]:
             self._maybe_prep(b, now)
-        self._schedule_pump(now)
+        self.pump_alarm.arm(now if now > self.ch_busy else self.ch_busy)
 
     def _switch_mode(self, to_read: bool, now: float) -> None:
         self.mode_read = to_read
@@ -671,7 +660,7 @@ class ChannelKernel:
             if prep[b] or not qs[b] or now < busy[b]:
                 continue
             self._maybe_prep(b, now)
-        self._schedule_pump(until)
+        self.pump_alarm.arm(until)
 
     # ------------------------------------------------------------------
     # WPQ fullness tracking (mirror of Channel._track_wpq_full)

@@ -21,7 +21,7 @@ from typing import Optional
 from repro.dram.controller import MemoryController
 from repro.dram.region import Region
 from repro.pcie.link import PcieLink
-from repro.sim.engine import Simulator
+from repro.sim.engine import Alarm, Simulator
 from repro.sim.records import (
     CACHELINE_BYTES,
     Request,
@@ -146,7 +146,7 @@ class DmaDevice:
         self._batch_credits = uncore_enabled() and self.burst > 1
         self._next_write_slot = 0.0
         self._next_read_slot = 0.0
-        self._pump_event = None
+        self._pump_alarm = Alarm(sim, self._pump)
         self.writes_posted = 0
         self.reads_completed = 0
         # One-shot credit waiters: when a pump blocks on credits, it
@@ -157,27 +157,11 @@ class DmaDevice:
 
     def start(self) -> None:
         """Begin pumping DMA at the current simulation time."""
-        self._pump_now()
+        self._pump()
 
     # ------------------------------------------------------------------
     # Pumping
     # ------------------------------------------------------------------
-
-    def _pump_now(self) -> None:
-        self._pump()
-
-    def _schedule_pump(self, at: float) -> None:
-        at = max(at, self._sim.now)
-        event = self._pump_event
-        if event is not None and not event.cancelled and event.time <= at:
-            return
-        if event is not None:
-            event.cancel()
-        self._pump_event = self._sim.schedule_at_cancellable(at, self._on_pump_event)
-
-    def _on_pump_event(self) -> None:
-        self._pump_event = None
-        self._pump()
 
     def _pump(self) -> None:
         workload = self.workload
@@ -187,7 +171,8 @@ class DmaDevice:
             if at_read < next_at:
                 next_at = at_read
         if next_at != _INF:
-            self._schedule_pump(next_at)
+            now = self._sim.now
+            self._pump_alarm.arm(next_at if next_at > now else now)
 
     def _pace(self) -> float:
         if self.device_rate is None:
@@ -220,14 +205,14 @@ class DmaDevice:
         while True:
             if not self._iio.has_credit(RequestKind.WRITE, burst):
                 self._wait_for_credit(RequestKind.WRITE)
-                return float("inf")  # the pool waiter re-pumps
+                return _INF  # the pool waiter re-pumps
             start = max(now, self._next_write_slot, self._link.upstream_next_free())
             if start > now:
                 return start
             addr = self.workload.next_write(now)
             if addr is None:
                 wake = self.workload.wake_time(now)
-                return wake if wake is not None else float("inf")
+                return wake if wake is not None else _INF
             if burst == 1:
                 req = acquire_request(
                     RequestSource.P2M,
@@ -276,14 +261,14 @@ class DmaDevice:
         while True:
             if not self._iio.has_credit(RequestKind.READ, burst):
                 self._wait_for_credit(RequestKind.READ)
-                return float("inf")
+                return _INF
             start = max(now, self._next_read_slot)
             if start > now:
                 return start
             addr = self.workload.next_read(now)
             if addr is None:
                 wake = self.workload.wake_time(now)
-                return wake if wake is not None else float("inf")
+                return wake if wake is not None else _INF
             if burst == 1:
                 req = acquire_request(
                     RequestSource.P2M,
@@ -332,12 +317,12 @@ class DmaDevice:
         are fine (the workload ran out of pending lines)."""
         mapper = self._mc.mapper
         groups: dict = {}
-        groups.setdefault(mapper.map(first).channel, []).append(first)
+        groups.setdefault(mapper.decode(first)[0], []).append(first)
         for _ in range(self.burst - 1):
             addr = next_line(now)
             if addr is None:
                 break
-            groups.setdefault(mapper.map(addr).channel, []).append(addr)
+            groups.setdefault(mapper.decode(addr)[0], []).append(addr)
         return groups.values()
 
     # ------------------------------------------------------------------

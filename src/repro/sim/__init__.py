@@ -6,10 +6,11 @@ nanosecond-resolution clock. Every component of the host network
 on a shared :class:`Simulator` instance.
 """
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Alarm, Event, Simulator
 from repro.sim.records import Request, RequestKind, RequestSource
 
 __all__ = [
+    "Alarm",
     "Event",
     "Simulator",
     "Request",

@@ -40,7 +40,6 @@ order, since every live entry of the old bucket has already fired.
 
 from __future__ import annotations
 
-import math
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -282,15 +281,19 @@ class Simulator:
         self, time: float, fn: Callable[..., None], *args: Any
     ) -> Event:
         """Like :meth:`schedule_at`, but returns a cancellable handle."""
-        if not time >= self.now:
-            raise ValueError(
-                f"cannot schedule into the past (time={time}, now={self.now})"
-            )
-        if not math.isfinite(time):
-            raise ValueError(f"cannot schedule at non-finite time (time={time})")
+        if not (time >= self.now and time < _INF):
+            self._reject_at(time)
         event = Event(time, fn, args)
         event._sim = self
-        self._file(time, event)
+        buckets = self._buckets
+        bucket = buckets.get(time)
+        if bucket is None:
+            buckets[time] = event
+            heappush(self._heap, time)
+        elif bucket.__class__ is list:
+            bucket.append(event)
+        else:
+            buckets[time] = [bucket, event]
         return event
 
     def _reject(self, delay: float, time: float) -> None:
@@ -332,6 +335,14 @@ class Simulator:
                     bucket[0](*args)
                 else:
                     bucket[0]()
+                continue
+            if cls is Event:  # lone cancellable entry (pumps, wakeups)
+                if bucket.cancelled:
+                    self._cancelled -= 1
+                    continue
+                bucket._sim = None
+                processed += 1
+                bucket.fn(*bucket.args)
                 continue
             if cls is not list:
                 bucket = (bucket,)
@@ -459,6 +470,51 @@ class Simulator:
             self._heap.clear()
             self._buckets.clear()
             self._cancelled = 0
+
+
+class Alarm:
+    """A re-armable wakeup: at most one pending firing of ``fn()``.
+
+    Replaces hand-managed cancellable :class:`Event` handles for
+    wakeups re-armed on every state change (DRAM channel pumps, DMA
+    device pumps, core issue wakes). ``time`` is the pending firing's
+    instant, ``inf`` when none is pending, so the common "already armed
+    early enough" case of :meth:`arm` is one float compare. Picklable
+    with the object graph when ``fn`` is a bound method.
+    """
+
+    __slots__ = ("time", "_sim", "_fn", "_event")
+
+    def __init__(self, sim: Simulator, fn: Callable[[], None]):
+        self.time = _INF
+        self._sim = sim
+        self._fn = fn
+        self._event = None
+
+    def arm(self, at: float) -> None:
+        """Fire at ``at`` unless a firing at or before ``at`` is pending.
+
+        Otherwise cancel the pending firing and file one new firing via
+        :meth:`Simulator.schedule_at_cancellable`, at the back of its
+        instant. The compare uses ``at`` as given; the filing instant is
+        clamped to ``now``, so arming in the past fires at the current
+        instant.
+        """
+        if self.time <= at:
+            return
+        event = self._event
+        if event is not None:
+            event.cancel()
+        sim = self._sim
+        if at < sim.now:
+            at = sim.now
+        self.time = at
+        self._event = sim.schedule_at_cancellable(at, self._fire)
+
+    def _fire(self) -> None:
+        self.time = _INF
+        self._event = None
+        self._fn()
 
 
 class SimClock:

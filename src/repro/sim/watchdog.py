@@ -86,13 +86,18 @@ def dump_state(sim, host=None) -> Dict[str, Any]:
         return details
     channels = []
     for channel in getattr(getattr(host, "mc", None), "channels", ()):
-        pump = channel._pump_event
+        # The SoA kernel, when on, owns the channel's scheduler state.
+        kernel = channel.kernel
+        if kernel is None:
+            busy, pump = channel._busy_until, channel._pump_alarm
+        else:
+            busy, pump = kernel.ch_busy, kernel.pump_alarm
         channels.append(
             {
                 "channel": channel.channel_id,
                 "mode": channel.mode.value,
-                "busy_until_ns": channel._busy_until,
-                "pump_armed_at_ns": None if pump is None else pump.time,
+                "busy_until_ns": busy,
+                "pump_armed_at_ns": pump.time if pump.time < float("inf") else None,
             }
         )
     details["channels"] = channels

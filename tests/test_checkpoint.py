@@ -433,6 +433,34 @@ class TestWatchdog:
             assert {"channel", "mode", "busy_until_ns", "pump_armed_at_ns"} <= set(entry)
         assert isinstance(details["pools_with_waiters"], list)
 
+    @pytest.mark.parametrize("kernel", ["on", "off"])
+    def test_dump_state_reads_the_scheduler_that_owns_the_channel(
+        self, monkeypatch, kernel
+    ):
+        """With the SoA kernel on, the channel object's own scheduler
+        fields are idle; the dump must report the kernel's."""
+        monkeypatch.setenv("REPRO_KERNEL", kernel)
+        host = Host(cascade_lake())
+        host.add_stream_cores(4, store_fraction=0.0)
+        host.add_raw_dma(RequestKind.WRITE)
+        host.run(1_000.0, 5_000.0)
+        host.sim.run_until(6_001.5)  # a channel pump is armed here
+        details = watchdog.dump_state(host.sim, host)
+        armed_pumps = [e["pump_armed_at_ns"] for e in details["channels"]]
+        assert any(armed is not None for armed in armed_pumps)
+        for entry, channel in zip(details["channels"], host.mc.channels):
+            owner = channel if channel.kernel is None else channel.kernel
+            busy = channel._busy_until if owner is channel else owner.ch_busy
+            # Every channel moved lines up to the end of the window.
+            assert entry["busy_until_ns"] == busy > 0.9 * host.sim.now
+            armed = entry["pump_armed_at_ns"]
+            if armed is not None:
+                assert armed >= host.sim.now
+                assert any(
+                    time == armed and getattr(e, "cancelled", True) is False
+                    for time, e in host.sim.pending_entries()
+                )
+
     @pytest.mark.parametrize(
         "raw,budget",
         [("", None), ("off", None), ("on", watchdog.DEFAULT_BUDGET), ("12000", 12000)],

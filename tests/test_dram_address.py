@@ -1,5 +1,7 @@
 """Unit tests for address mapping, regions, and DDR4 timing."""
 
+import random
+
 import pytest
 
 from repro.dram.address import AddressMapper
@@ -96,6 +98,42 @@ class TestAddressMapper:
     def test_negative_address_rejected(self):
         with pytest.raises(ValueError):
             self.make().map(-1)
+        with pytest.raises(ValueError):
+            self.make().decode(-1)
+
+    @pytest.mark.parametrize("xor_hash", [True, False])
+    @pytest.mark.parametrize(
+        "n_channels,n_banks,lines_per_row", [(2, 16, 128), (4, 32, 64), (1, 8, 256)]
+    )
+    def test_decode_follows_the_documented_layout(
+        self, xor_hash, n_channels, n_banks, lines_per_row
+    ):
+        """``decode`` slices ``| channel | column | bank | row |`` off the
+        line address, low bits first, and XORs the low row bits into the
+        bank when hashing; ``map`` agrees with it and adds the column."""
+        mapper = self.make(
+            n_channels=n_channels,
+            n_banks=n_banks,
+            lines_per_row=lines_per_row,
+            xor_hash=xor_hash,
+        )
+        rng = random.Random(5)
+        for _ in range(2_000):
+            line = rng.randrange(1 << 40)
+            channel = line % n_channels
+            column = (line // n_channels) % lines_per_row
+            bank = (line // (n_channels * lines_per_row)) % n_banks
+            row = line // (n_channels * lines_per_row * n_banks)
+            if xor_hash:
+                bank ^= row % n_banks
+            assert mapper.decode(line) == (channel, bank, row)
+            mapped = mapper.map(line)
+            assert (mapped.channel, mapped.bank, mapped.row, mapped.column) == (
+                channel,
+                bank,
+                row,
+                column,
+            )
 
 
 class TestRegions:

@@ -1,10 +1,11 @@
 """Unit tests for the discrete-event engine."""
 
 import math
+import pickle
 
 import pytest
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Alarm, Event, Simulator
 
 
 def test_schedule_and_run_until_executes_in_order():
@@ -285,3 +286,125 @@ def test_run_max_events_still_raises_with_live_remainder():
     with pytest.raises(RuntimeError):
         sim.run(max_events=5)
 
+
+
+# ----------------------------------------------------------------------
+# Alarm: the re-armable wakeup
+# ----------------------------------------------------------------------
+
+
+class _Ringer:
+    """Picklable alarm owner that logs the instant of every firing."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.fired = []
+        self.alarm = Alarm(sim, self.ring)
+        self.seen_time = None
+
+    def ring(self):
+        self.seen_time = self.alarm.time
+        self.fired.append(self.sim.now)
+
+
+class TestAlarm:
+    @pytest.mark.parametrize("later", [10.0, 25.0, math.inf])
+    def test_arming_at_or_after_the_pending_firing_is_a_no_op(self, later):
+        sim = Simulator()
+        owner = _Ringer(sim)
+        owner.alarm.arm(10.0)
+        owner.alarm.arm(later)
+        assert owner.alarm.time == 10.0
+        # Nothing new was filed: no cancelled residue, one live entry.
+        assert sim.pending == 1
+        assert sim.pending_live == 1
+        sim.run()
+        assert owner.fired == [10.0]
+
+    def test_arming_earlier_cancels_and_files_exactly_one(self):
+        sim = Simulator()
+        owner = _Ringer(sim)
+        owner.alarm.arm(10.0)
+        owner.alarm.arm(4.0)
+        assert owner.alarm.time == 4.0
+        # The old firing stays filed as cancelled residue.
+        assert sim.pending == 2
+        assert sim.pending_live == 1
+        owner.alarm.arm(2.0)
+        assert sim.pending == 3
+        assert sim.pending_live == 1
+        sim.run()
+        assert owner.fired == [2.0]
+        assert sim.events_processed == 1
+
+    def test_earlier_firing_files_at_the_back_of_its_instant(self):
+        sim = Simulator()
+        owner = _Ringer(sim)
+        order = []
+        owner.alarm.arm(9.0)
+        sim.schedule(5.0, lambda: order.append(("before", len(owner.fired))))
+        owner.alarm.arm(5.0)
+        sim.schedule(5.0, lambda: order.append(("after", len(owner.fired))))
+        sim.run()
+        # Submission order: filed behind "before", ahead of "after".
+        assert order == [("before", 0), ("after", 1)]
+        assert owner.fired == [5.0]
+
+    def test_firing_resets_time_to_infinity(self):
+        sim = Simulator()
+        owner = _Ringer(sim)
+        assert owner.alarm.time == math.inf  # unarmed
+        owner.alarm.arm(3.0)
+        sim.run_until(10.0)
+        assert owner.fired == [3.0]
+        assert owner.seen_time == math.inf  # already reset inside fn()
+        assert owner.alarm.time == math.inf
+        # Re-armable once it has fired.
+        owner.alarm.arm(12.0)
+        sim.run()
+        assert owner.fired == [3.0, 12.0]
+
+    def test_past_arm_compares_unclamped_and_files_at_now(self):
+        """Arming before ``now`` fires at ``now``; against a firing
+        already pending at ``now`` it still re-files, at the back of
+        the instant (the compare uses the requested time)."""
+        sim = Simulator()
+        owner = _Ringer(sim)
+        order = []
+        sim.run_until(5.0)
+        owner.alarm.arm(5.0)
+        # Probe filed behind the first firing: it sees the alarm fired
+        # only if the past arm below left that firing in place.
+        sim.schedule(0.0, lambda: order.append(len(owner.fired)))
+        owner.alarm.arm(1.0)
+        assert owner.alarm.time == 5.0
+        assert sim.pending_live == 2
+        sim.run()
+        assert owner.fired == [5.0]
+        assert order == [0]
+
+    def test_pending_live_counts_one_firing(self):
+        sim = Simulator()
+        owner = _Ringer(sim)
+        for at in (50.0, 40.0, 40.0, 45.0, 30.0, 60.0, 20.0):
+            owner.alarm.arm(at)
+            assert sim.pending_live == 1
+        sim.run()
+        assert owner.fired == [20.0]
+        assert sim.pending_live == 0
+
+    def test_armed_alarm_survives_pickling(self):
+        sim = Simulator()
+        owner = _Ringer(sim)
+        owner.alarm.arm(30.0)
+        owner.alarm.arm(7.0)
+        sim.run_until(5.0)
+        clone_sim, clone = pickle.loads(pickle.dumps((sim, owner)))
+        assert clone.alarm.time == 7.0
+        # Still one live firing, and re-arming the clone cancels it.
+        clone.alarm.arm(6.0)
+        assert clone_sim.pending_live == 1
+        clone_sim.run()
+        sim.run()
+        assert clone.fired == [6.0]
+        assert owner.fired == [7.0]

@@ -2,13 +2,15 @@
 differential parity, and violation reporting."""
 
 import dataclasses
+import functools
 import heapq
+import math
 import random
 
 import pytest
 
 from repro import Host, RequestKind, cascade_lake
-from repro.sim.engine import Simulator
+from repro.sim.engine import Alarm, Simulator
 from repro.validate import (
     InvariantViolation,
     ValidatingSimulator,
@@ -236,11 +238,26 @@ class TestValidatingSimulator:
     @staticmethod
     def _drive_mixed(sim):
         """Randomized workload over every dispatch path: rescheduling
-        callbacks, cancellations, ``schedule_many`` trains, budgeted
-        drains that stop mid-bucket, and ``run_until`` windows."""
+        callbacks, cancellations, ``schedule_many`` trains, lone
+        :class:`Alarm` firings re-armed earlier, equal and later,
+        budgeted drains that stop mid-bucket, and ``run_until``
+        windows."""
         rng = random.Random(11)
         order = []
         handles = []
+        alarms = []
+
+        def ring(k):
+            order.append((sim.now, "alarm", k))
+            if rng.random() < 0.5:
+                alarms[k].arm(sim.now + rng.choice([0.37, 1.1, 7.7, 77.0]))
+
+        def rearm():
+            # Odd offsets keep most firings alone in their bucket; a
+            # negative one may land before ``now`` (filed at ``now``).
+            alarm = rng.choice(alarms)
+            base = alarm.time if alarm.time < math.inf else sim.now + 3.1
+            alarm.arm(base + rng.choice([-2.9, -0.45, 0.0, 0.0, 4.3]))
 
         def cb(i):
             order.append((sim.now, i))
@@ -250,7 +267,12 @@ class TestValidatingSimulator:
                 )
             if rng.random() < 0.1 and handles:
                 handles.pop(rng.randrange(len(handles))).cancel()
+            if rng.random() < 0.25:
+                rearm()
 
+        for k in range(4):
+            alarms.append(Alarm(sim, functools.partial(ring, k)))
+            alarms[k].arm(rng.choice([0.37, 2.9, 41.3, 333.3]))
         for i in range(400):
             d = rng.choice([0.0, 0.2, 0.63, 1.0, 10.0, 33.0, 250.0, 5000.0])
             if i % 7 == 0:
