@@ -84,8 +84,9 @@ chaos:
 
 # Checkpoint tier: one fig03 point is SIGTERM-killed at two successive
 # checkpoints and resumed across real processes; the twice-resumed
-# RunResult must be bit-identical to the committed fingerprint, with
-# the DRAM kernel on and off (tools/ckpt_check.py).
+# RunResult must be bit-identical to the committed fingerprint under
+# (REPRO_KERNEL, REPRO_UNCORE) = (on, on), (off, on) and (on, off)
+# (tools/ckpt_check.py).
 ckpt:
 	$(PYTHON) tools/ckpt_check.py
 

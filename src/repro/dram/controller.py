@@ -188,13 +188,13 @@ class Channel:
     def wpq_size(self, value: int) -> None:
         self.wpq_pool.capacity = value
 
-    def can_accept_read(self, n: int = 1) -> bool:
-        """Whether the RPQ has ``n`` slots (counting reservations)."""
-        return self.rpq_pool.can_accept(n)
+    def can_accept_read(self) -> bool:
+        """Whether the RPQ has a slot (counting reservations)."""
+        return self.rpq_pool.can_accept()
 
-    def can_accept_write(self, n: int = 1) -> bool:
-        """Whether the WPQ has ``n`` slots (counting reservations)."""
-        return self.wpq_pool.can_accept(n)
+    def can_accept_write(self) -> bool:
+        """Whether the WPQ has a slot (counting reservations)."""
+        return self.wpq_pool.can_accept()
 
     def _track_wpq_full(self) -> None:
         """Accumulate the time the WPQ is effectively full (occupancy
@@ -219,28 +219,27 @@ class Channel:
             return 0.0
         return total / elapsed
 
-    def reserve_read(self, n: int = 1) -> None:
-        """Claim ``n`` RPQ slots for a read in transit from the CHA."""
-        if not self.rpq_pool.can_accept(n):
+    def reserve_read(self) -> None:
+        """Claim an RPQ slot for a read in transit from the CHA."""
+        if not self.rpq_pool.can_accept():
             raise RuntimeError("read reservation without RPQ space")
-        self.rpq_pool.reserve(n)
+        self.rpq_pool.reserve()
 
-    def reserve_write(self, n: int = 1) -> None:
-        """Claim ``n`` WPQ slots for a write in transit from the CHA."""
-        if not self.wpq_pool.can_accept(n):
+    def reserve_write(self) -> None:
+        """Claim a WPQ slot for a write in transit from the CHA."""
+        if not self.wpq_pool.can_accept():
             raise RuntimeError("write reservation without WPQ space")
-        self.wpq_pool.reserve(n)
+        self.wpq_pool.reserve()
         self._track_wpq_full()
 
     def enqueue_read(self, req: Request) -> None:
         """Admit a read into the RPQ (reservation made earlier)."""
         now = self._sim.now
-        lines = req.lines
-        self.rpq_pool.commit(now, lines)
+        self.rpq_pool.commit(now)
         self._admit_seq += 1
         req.queue_seq = self._admit_seq
         req.t_queue_admit = now
-        self._queued_read_lines += lines
+        self._queued_read_lines += 1
         self.banks[req.bank_id].enqueue(req)
         self._pump_alarm.arm(max(now, self._busy_until))
 
@@ -248,13 +247,12 @@ class Channel:
         """Admit a write into the WPQ; the write is now *complete* from
         the requester's point of view (writes are asynchronous, §3)."""
         now = self._sim.now
-        lines = req.lines
-        self.wpq_pool.commit(now, lines)
+        self.wpq_pool.commit(now)
         self._track_wpq_full()
         self._admit_seq += 1
         req.queue_seq = self._admit_seq
         req.t_queue_admit = now
-        self._queued_write_lines += lines
+        self._queued_write_lines += 1
         self.banks[req.bank_id].enqueue(req)
         if req.on_complete is not None:
             req.on_complete(req)
@@ -265,20 +263,9 @@ class Channel:
     # ------------------------------------------------------------------
 
     def count_row_outcome(self, req: Request) -> None:
-        """Record a request's first row-buffer outcome, per class.
-
-        A macro-request (burst mode) opens its row once; the remaining
-        ``lines - 1`` cachelines stream from the open row, which is
-        what the per-line simulation of a sequential burst would record
-        as row hits.
-        """
-        stats = self._stats
+        """Record a request's first row-buffer outcome, per class."""
         key = (req.traffic_class, req.kind.value, req.row_outcome)
-        stats.class_row_outcomes[key] += 1
-        if req.lines > 1:
-            stats.class_row_outcomes[
-                (req.traffic_class, req.kind.value, "hit")
-            ] += req.lines - 1
+        self._stats.class_row_outcomes[key] += 1
 
     def count_prep_ops(self, req: Request, conflict: bool) -> None:
         """Count an ACT (and PRE on conflict) for the formula inputs."""
@@ -397,8 +384,8 @@ class Channel:
                 continue
             head = queue[0]
             if now >= bank.busy_until and bank.open_row == head.row_id:
-                if reg is not None and not reg.ready(bank.bank_id, now, head.lines):
-                    t = reg.next_ready(bank.bank_id, now, head.lines)
+                if reg is not None and not reg.ready(bank.bank_id, now, 1):
+                    t = reg.next_ready(bank.bank_id, now, 1)
                     if retry is None or t < retry:
                         retry = t
                     continue
@@ -419,12 +406,10 @@ class Channel:
 
     def _transmit(self, req: Request) -> None:
         now = self._sim.now
-        timing = self.timing
-        lines = req.lines
-        t_burst = timing.t_trans if lines == 1 else timing.t_trans * lines
-        self._busy_until = now + t_burst
+        t_trans = self.timing.t_trans
+        self._busy_until = now + t_trans
         if self.bank_reg is not None:
-            self.bank_reg.consume(req.bank_id, now, lines)
+            self.bank_reg.consume(req.bank_id, now, 1)
         bank = self.banks[req.bank_id]
         if req.row_outcome is None:
             # Served with its row already open and no PRE/ACT of its
@@ -435,25 +420,24 @@ class Channel:
         bank.pop_head(req)
         stats = self._stats
         if req.kind is RequestKind.READ:
-            self._queued_read_lines -= lines
-            stats.lines_read += lines
-            stats.class_lines_read[req.traffic_class] += lines
-            stats.busy_read_time += t_burst
+            self._queued_read_lines -= 1
+            stats.lines_read += 1
+            stats.class_lines_read[req.traffic_class] += 1
+            stats.busy_read_time += t_trans
             self.bank_sampler.record(req.bank_id)
         else:
-            self._queued_write_lines -= lines
-            stats.lines_written += lines
-            stats.class_lines_written[req.traffic_class] += lines
-            stats.busy_write_time += t_burst
-        self._served_in_mode += lines
-        self._sim.schedule(t_burst, self._on_transmit_done, req, bank)
+            self._queued_write_lines -= 1
+            stats.lines_written += 1
+            stats.class_lines_written[req.traffic_class] += 1
+            stats.busy_write_time += t_trans
+        self._served_in_mode += 1
+        self._sim.schedule(t_trans, self._on_transmit_done, req, bank)
 
     def _on_transmit_done(self, req: Request, bank: Bank) -> None:
         now = self._sim.now
         req.t_service = now
-        lines = req.lines
         if req.kind is RequestKind.READ:
-            self.rpq_pool.release(now, lines)
+            self.rpq_pool.release(now)
             if req.on_serviced is not None:
                 req.on_serviced(req)
             if req.on_complete is not None:
@@ -461,7 +445,7 @@ class Channel:
             if self.on_rpq_space is not None:
                 self.on_rpq_space(self.channel_id)
         else:
-            self.wpq_pool.release(now, lines)
+            self.wpq_pool.release(now)
             self._track_wpq_full()
             if self.on_wpq_space is not None:
                 self.on_wpq_space(self.channel_id)
@@ -503,8 +487,7 @@ class Channel:
         its transmit completes, so these must reconcile with
         ``rpq_count``/``wpq_count`` net of the single request whose
         transmit is in flight — the queue-accounting identity checked
-        by :mod:`repro.validate`. Counted in cachelines so burst-mode
-        macro-requests reconcile with the lines-weighted queue counts.
+        by :mod:`repro.validate`.
 
         Incrementally maintained (no per-call container walk); the
         validator cross-checks the cache against
@@ -520,8 +503,8 @@ class Channel:
         kernel = self.kernel
         if kernel is not None:
             return kernel.walk_queued_lines()
-        reads = sum(req.lines for bank in self.banks for req in bank.read_q)
-        writes = sum(req.lines for bank in self.banks for req in bank.write_q)
+        reads = sum(len(bank.read_q) for bank in self.banks)
+        writes = sum(len(bank.write_q) for bank in self.banks)
         return reads, writes
 
     def reset_stats(self, now: float) -> None:

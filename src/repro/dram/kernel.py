@@ -237,13 +237,12 @@ class ChannelKernel:
     def enqueue_read(self, req) -> None:
         sim = self._sim
         now = sim.now
-        lines = req.lines
         # CreditPool.commit, inlined — pinned to the canonical method
         # by tests/test_credit.py::TestInlinedFastPaths.
         pool = self.rpq_pool
-        pool.reserved -= lines
-        pool.alloc_count += lines
-        pool._occ_update(now, lines)
+        pool.reserved -= 1
+        pool.alloc_count += 1
+        pool._occ_update(now, 1)
         self.admit_seq = seq = self.admit_seq + 1
         req.queue_seq = seq
         req.t_queue_admit = now
@@ -254,7 +253,7 @@ class ChannelKernel:
         b = req.bank_id
         q = self.read_qs[b]
         q.append(req)
-        self.queued_read_lines += lines
+        self.queued_read_lines += 1
         if len(q) == 1:
             row = req.row_id
             self.head_row_r[b] = row
@@ -268,13 +267,12 @@ class ChannelKernel:
     def enqueue_write(self, req) -> None:
         sim = self._sim
         now = sim.now
-        lines = req.lines
         # CreditPool.commit, inlined — pinned to the canonical method
         # by tests/test_credit.py::TestInlinedFastPaths.
         pool = self.wpq_pool
-        pool.reserved -= lines
-        pool.alloc_count += lines
-        pool._occ_update(now, lines)
+        pool.reserved -= 1
+        pool.alloc_count += 1
+        pool._occ_update(now, 1)
         self._track_wpq_full(now)
         self.admit_seq = seq = self.admit_seq + 1
         req.queue_seq = seq
@@ -286,7 +284,7 @@ class ChannelKernel:
         b = req.bank_id
         q = self.write_qs[b]
         q.append(req)
-        self.queued_write_lines += lines
+        self.queued_write_lines += 1
         if len(q) == 1:
             row = req.row_id
             self.head_row_w[b] = row
@@ -324,11 +322,7 @@ class ChannelKernel:
                 base = head.cls_id * 6 + (
                     0 if head.kind is RequestKind.READ else 3
                 )
-                oc = self.out_counts
-                oc[base] += 1
-                hl = head.lines
-                if hl > 1:
-                    oc[base] += hl - 1
+                self.out_counts[base] += 1
             self.pump_alarm.arm(now if now > self.ch_busy else self.ch_busy)
             return
         cost = self.t_act_cas
@@ -339,11 +333,7 @@ class ChannelKernel:
         if head.row_outcome is None:
             head.row_outcome = "conflict" if conflict else "miss"
             base = head.cls_id * 6 + (0 if read else 3)
-            oc = self.out_counts
-            oc[base + (2 if conflict else 1)] += 1
-            hl = head.lines
-            if hl > 1:
-                oc[base] += hl - 1
+            self.out_counts[base + (2 if conflict else 1)] += 1
         if read:
             self.s_act_read += 1
             if conflict:
@@ -377,11 +367,7 @@ class ChannelKernel:
                 base = head.cls_id * 6 + (
                     0 if head.kind is RequestKind.READ else 3
                 )
-                oc = self.out_counts
-                oc[base] += 1
-                hl = head.lines
-                if hl > 1:
-                    oc[base] += hl - 1
+                self.out_counts[base] += 1
             self.pump_alarm.arm(now if now > self.ch_busy else self.ch_busy)
         else:
             self._maybe_prep(b, now)
@@ -417,13 +403,11 @@ class ChannelKernel:
                         best_seq = seq
                         best_b = b
             else:
-                qs = self.read_qs
                 retry = -1.0
                 for b, seq in self.match_r.items():
                     if now >= busy[b]:
-                        lines = qs[b][0].lines
-                        if not reg.ready(b, now, lines):
-                            t = reg.next_ready(b, now, lines)
+                        if not reg.ready(b, now, 1):
+                            t = reg.next_ready(b, now, 1)
                             if retry < 0.0 or t < retry:
                                 retry = t
                             continue
@@ -459,13 +443,11 @@ class ChannelKernel:
                 p2m = self.head_p2m_w
                 p2m_b = -1
                 p2m_seq = _BIG
-                qs = self.write_qs
                 for b, seq in self.match_w.items():
                     if now >= busy[b]:
                         if reg is not None:
-                            lines = qs[b][0].lines
-                            if not reg.ready(b, now, lines):
-                                t = reg.next_ready(b, now, lines)
+                            if not reg.ready(b, now, 1):
+                                t = reg.next_ready(b, now, 1)
                                 if retry < 0.0 or t < retry:
                                     retry = t
                                 continue
@@ -483,12 +465,10 @@ class ChannelKernel:
                         best_seq = seq
                         best_b = b
             else:
-                qs = self.write_qs
                 for b, seq in self.match_w.items():
                     if now >= busy[b]:
-                        lines = qs[b][0].lines
-                        if not reg.ready(b, now, lines):
-                            t = reg.next_ready(b, now, lines)
+                        if not reg.ready(b, now, 1):
+                            t = reg.next_ready(b, now, 1)
                             if retry < 0.0 or t < retry:
                                 retry = t
                             continue
@@ -504,22 +484,16 @@ class ChannelKernel:
     def _transmit_read(self, b: int, now: float) -> None:
         q = self.read_qs[b]
         req = q.popleft()
-        lines = req.lines
         t_trans = self.t_trans
-        t_burst = t_trans if lines == 1 else t_trans * lines
-        self.ch_busy = now + t_burst
+        self.ch_busy = now + t_trans
         reg = self.bank_reg
         if reg is not None:
-            reg.consume(b, now, lines)
+            reg.consume(b, now, 1)
         if req.row_outcome is None:
             # Served with its row already open and no PRE/ACT of its
             # own (opened by a prep for the other direction's head).
             req.row_outcome = "hit"
-            base = req.cls_id * 6
-            oc = self.out_counts
-            oc[base] += 1
-            if lines > 1:
-                oc[base] += lines - 1
+            self.out_counts[req.cls_id * 6] += 1
         if q:
             nh = q[0]
             row = nh.row_id
@@ -533,10 +507,10 @@ class ChannelKernel:
             self.head_row_r[b] = _NO_HEAD
             self.head_seq_r[b] = _BIG
             del self.match_r[b]
-        self.queued_read_lines -= lines
-        self.s_lines_read += lines
-        self.cls_lines_read[req.cls_id] += lines
-        self.s_busy_read += t_burst
+        self.queued_read_lines -= 1
+        self.s_lines_read += 1
+        self.cls_lines_read[req.cls_id] += 1
+        self.s_busy_read += t_trans
         # Bank-load sampling, inlined (BankLoadSampler.record) — pinned
         # by tests/test_credit.py::TestInlinedFastPaths.
         sampler = self.sampler
@@ -546,26 +520,20 @@ class ChannelKernel:
             sampler._flush()
         else:
             sampler.seen = seen
-        self.served += lines
-        self._sim.schedule(t_burst, self._on_transmit_done_read, req, b)
+        self.served += 1
+        self._sim.schedule(t_trans, self._on_transmit_done_read, req, b)
 
     def _transmit_write(self, b: int, now: float) -> None:
         q = self.write_qs[b]
         req = q.popleft()
-        lines = req.lines
         t_trans = self.t_trans
-        t_burst = t_trans if lines == 1 else t_trans * lines
-        self.ch_busy = now + t_burst
+        self.ch_busy = now + t_trans
         reg = self.bank_reg
         if reg is not None:
-            reg.consume(b, now, lines)
+            reg.consume(b, now, 1)
         if req.row_outcome is None:
             req.row_outcome = "hit"
-            base = req.cls_id * 6 + 3
-            oc = self.out_counts
-            oc[base] += 1
-            if lines > 1:
-                oc[base] += lines - 1
+            self.out_counts[req.cls_id * 6 + 3] += 1
         if q:
             nh = q[0]
             row = nh.row_id
@@ -581,23 +549,22 @@ class ChannelKernel:
             self.head_row_w[b] = _NO_HEAD
             self.head_seq_w[b] = _BIG
             del self.match_w[b]
-        self.queued_write_lines -= lines
-        self.s_lines_written += lines
-        self.cls_lines_written[req.cls_id] += lines
-        self.s_busy_write += t_burst
-        self.served += lines
-        self._sim.schedule(t_burst, self._on_transmit_done_write, req, b)
+        self.queued_write_lines -= 1
+        self.s_lines_written += 1
+        self.cls_lines_written[req.cls_id] += 1
+        self.s_busy_write += t_trans
+        self.served += 1
+        self._sim.schedule(t_trans, self._on_transmit_done_write, req, b)
 
     def _on_transmit_done_read(self, req, b: int) -> None:
         sim = self._sim
         now = sim.now
         req.t_service = now
-        lines = req.lines
         # CreditPool.release, inlined — pinned to the canonical method
         # by tests/test_credit.py::TestInlinedFastPaths.
         pool = self.rpq_pool
-        pool.free_count += lines
-        pool._occ_update(now, -lines)
+        pool.free_count += 1
+        pool._occ_update(now, -1)
         if pool._waiters:
             pool._drain_waiters()
         cb = req.on_serviced
@@ -617,12 +584,11 @@ class ChannelKernel:
         sim = self._sim
         now = sim.now
         req.t_service = now
-        lines = req.lines
         # CreditPool.release, inlined — pinned to the canonical method
         # by tests/test_credit.py::TestInlinedFastPaths.
         pool = self.wpq_pool
-        pool.free_count += lines
-        pool._occ_update(now, -lines)
+        pool.free_count += 1
+        pool._occ_update(now, -1)
         if pool._waiters:
             pool._drain_waiters()
         self._track_wpq_full(now)
@@ -753,8 +719,8 @@ class ChannelKernel:
 
     def walk_queued_lines(self) -> tuple:
         """Recount the bank FIFOs directly (validator cross-check)."""
-        reads = sum(req.lines for q in self.read_qs for req in q)
-        writes = sum(req.lines for q in self.write_qs for req in q)
+        reads = sum(len(q) for q in self.read_qs)
+        writes = sum(len(q) for q in self.write_qs)
         return reads, writes
 
     def bank_state(self):

@@ -94,28 +94,16 @@ def key_for(fn: Any, args: tuple = (), kwargs: Optional[dict] = None) -> Optiona
         return None
     from repro.sim.knobs import KnobSet
 
-    knobs = KnobSet.resolve()
     digest = hashlib.sha256()
     digest.update(code_fingerprint().encode())
-    # Validated and unvalidated runs are float-identical by contract,
-    # but their RunResults differ in the recorded check count — and a
-    # REPRO_VALIDATE=1 suite must actually execute its checks rather
-    # than replay an unvalidated cache. Keep the namespaces separate.
-    digest.update(b"validate=1" if knobs.validate else b"validate=0")
-    # Burst (macro-event) runs are approximations of the per-line
-    # simulation: results at different REPRO_BURST factors must never
-    # replay each other's cache entries.
-    digest.update(f"burst={knobs.burst}".encode())
-    # The DDIO and per-bank-regulation force-knobs change host
-    # behaviour without appearing in the pickled spec (the HostConfig
-    # defaults stay off); keep their namespaces separate too.
-    digest.update(f"ddio={knobs.ddio}".encode())
-    digest.update(f"bankreg={knobs.bank_reg}".encode())
-    # The uncore kernel is float-identical by contract, but a cached
-    # result must never mask a divergence: keep the namespaces apart so
-    # REPRO_UNCORE=off actually recomputes (same reasoning as the DRAM
-    # kernel's code_fingerprint coverage).
-    digest.update(f"uncore={knobs.uncore}".encode())
+    # Every behaviour-affecting knob namespaces the key. The kernels
+    # are float-identical by contract, but a cached result must never
+    # mask a divergence; validated runs record a check count and must
+    # actually execute their checks; the DDIO and bank-regulation
+    # force-knobs change behaviour without appearing in the pickled
+    # spec. Hashing the whole fingerprint keeps a new knob from being
+    # forgotten here.
+    digest.update(repr(sorted(KnobSet.resolve().fingerprint().items())).encode())
     digest.update(spec)
     return digest.hexdigest()
 

@@ -32,7 +32,6 @@ from repro.sim.records import (
 )
 from repro.telemetry.counters import CounterHub
 from repro.uncore.iio import IIO
-from repro.uncore.kernel import uncore_enabled
 
 _INF = float("inf")
 
@@ -122,7 +121,6 @@ class DmaDevice:
         device_rate: Optional[float] = None,
         t_host_return: float = 55.0,
         traffic_class: str = "p2m",
-        burst: int = 1,
     ):
         self._sim = sim
         self._hub = hub
@@ -133,17 +131,6 @@ class DmaDevice:
         self.device_rate = device_rate
         self.t_host_return = t_host_return
         self.traffic_class = traffic_class
-        # Macro-event burst factor (REPRO_BURST): lines per DMA
-        # macro-request. Clamped so a burst can always obtain credits.
-        self.burst = max(
-            1, min(burst, iio.write_entries, iio.read_entries)
-        )
-        # Batched train credits (REPRO_UNCORE): one weighted IIO pool
-        # transaction per gathered train instead of one per channel
-        # group. Bit-identical — same-instant acquires commute — but
-        # cuts the per-group pool traffic. Evaluated unconditionally so
-        # an invalid knob value raises at construction.
-        self._batch_credits = uncore_enabled() and self.burst > 1
         self._next_write_slot = 0.0
         self._next_read_slot = 0.0
         self._pump_alarm = Alarm(sim, self._pump)
@@ -201,9 +188,8 @@ class DmaDevice:
     def _pump_writes(self) -> float:
         """Send pending DMA writes; returns the next retry time."""
         now = self._sim.now
-        burst = self.burst
         while True:
-            if not self._iio.has_credit(RequestKind.WRITE, burst):
+            if not self._iio.has_credit(RequestKind.WRITE):
                 self._wait_for_credit(RequestKind.WRITE)
                 return _INF  # the pool waiter re-pumps
             start = max(now, self._next_write_slot, self._link.upstream_next_free())
@@ -213,53 +199,23 @@ class DmaDevice:
             if addr is None:
                 wake = self.workload.wake_time(now)
                 return wake if wake is not None else _INF
-            if burst == 1:
-                req = acquire_request(
-                    RequestSource.P2M,
-                    RequestKind.WRITE,
-                    addr,
-                    traffic_class=self.traffic_class,
-                )
-                self._iio.alloc(req)
-                self._mc.assign(req)
-                req.on_complete = self._on_write_posted
-                arrival = self._link.send_upstream(CACHELINE_BYTES)
-                self._next_write_slot = start + self._pace()
-                self._sim.schedule_at(arrival, self._iio.on_dma_arrival, req)
-                continue
-            total = 0
-            batch = self._batch_credits
-            for group in self._gather_burst(addr, self.workload.next_write, now):
-                req = acquire_request(
-                    RequestSource.P2M,
-                    RequestKind.WRITE,
-                    group[0],
-                    traffic_class=self.traffic_class,
-                )
-                lines = len(group)
-                if lines > 1:
-                    req.lines = lines
-                    req.tag = group
-                total += lines
-                if batch:
-                    req.t_alloc = now
-                else:
-                    self._iio.alloc(req)
-                self._mc.assign(req)
-                req.on_complete = self._on_write_posted
-                arrival = self._link.send_upstream(CACHELINE_BYTES * lines)
-                self._sim.schedule_at(arrival, self._iio.on_dma_arrival, req)
-            if batch:
-                # One weighted pool transaction for the whole train:
-                # bit-identical to per-group acquires at one instant.
-                self._iio.write_pool.acquire(now, total)
-            self._next_write_slot = start + self._pace() * total
+            req = acquire_request(
+                RequestSource.P2M,
+                RequestKind.WRITE,
+                addr,
+                traffic_class=self.traffic_class,
+            )
+            self._iio.alloc(req)
+            self._mc.assign(req)
+            req.on_complete = self._on_write_posted
+            arrival = self._link.send_upstream(CACHELINE_BYTES)
+            self._next_write_slot = start + self._pace()
+            self._sim.schedule_at(arrival, self._iio.on_dma_arrival, req)
 
     def _pump_reads(self) -> float:
         now = self._sim.now
-        burst = self.burst
         while True:
-            if not self._iio.has_credit(RequestKind.READ, burst):
+            if not self._iio.has_credit(RequestKind.READ):
                 self._wait_for_credit(RequestKind.READ)
                 return _INF
             start = max(now, self._next_read_slot)
@@ -269,61 +225,18 @@ class DmaDevice:
             if addr is None:
                 wake = self.workload.wake_time(now)
                 return wake if wake is not None else _INF
-            if burst == 1:
-                req = acquire_request(
-                    RequestSource.P2M,
-                    RequestKind.READ,
-                    addr,
-                    traffic_class=self.traffic_class,
-                )
-                self._iio.alloc(req)
-                self._mc.assign(req)
-                req.on_complete = self._on_read_serviced
-                self._next_read_slot = start + self._pace()
-                # Read requests are small TLPs: propagation only.
-                self._sim.schedule(self._link.t_prop, self._iio.on_dma_arrival, req)
-                continue
-            total = 0
-            batch = self._batch_credits
-            for group in self._gather_burst(addr, self.workload.next_read, now):
-                req = acquire_request(
-                    RequestSource.P2M,
-                    RequestKind.READ,
-                    group[0],
-                    traffic_class=self.traffic_class,
-                )
-                lines = len(group)
-                if lines > 1:
-                    req.lines = lines
-                    req.tag = group
-                total += lines
-                if batch:
-                    req.t_alloc = now
-                else:
-                    self._iio.alloc(req)
-                self._mc.assign(req)
-                req.on_complete = self._on_read_serviced
-                self._sim.schedule(self._link.t_prop, self._iio.on_dma_arrival, req)
-            if batch:
-                self._iio.read_pool.acquire(now, total)
-            self._next_read_slot = start + self._pace() * total
-
-    def _gather_burst(self, first: int, next_line, now: float):
-        """Collect up to ``self.burst`` pending lines and split them by
-        home memory channel: consecutive lines interleave across
-        channels, so one single-channel macro-request would collapse
-        the channel parallelism the per-line simulation exploits. One
-        macro-request per channel group preserves it. Partial bursts
-        are fine (the workload ran out of pending lines)."""
-        mapper = self._mc.mapper
-        groups: dict = {}
-        groups.setdefault(mapper.decode(first)[0], []).append(first)
-        for _ in range(self.burst - 1):
-            addr = next_line(now)
-            if addr is None:
-                break
-            groups.setdefault(mapper.decode(addr)[0], []).append(addr)
-        return groups.values()
+            req = acquire_request(
+                RequestSource.P2M,
+                RequestKind.READ,
+                addr,
+                traffic_class=self.traffic_class,
+            )
+            self._iio.alloc(req)
+            self._mc.assign(req)
+            req.on_complete = self._on_read_serviced
+            self._next_read_slot = start + self._pace()
+            # Read requests are small TLPs: propagation only.
+            self._sim.schedule(self._link.t_prop, self._iio.on_dma_arrival, req)
 
     # ------------------------------------------------------------------
     # Completions
@@ -331,15 +244,11 @@ class DmaDevice:
 
     def _on_write_posted(self, req: Request) -> None:
         now = self._sim.now
-        self.writes_posted += req.lines
+        self.writes_posted += 1
         # Update workload state before releasing the credit: the release
         # synchronously wakes credit waiters, which must observe the
         # post-completion demand (e.g. the next queued IO).
-        if req.lines == 1:
-            self.workload.on_write_posted(req.line_addr, now)
-        else:
-            for addr in req.tag:
-                self.workload.on_write_posted(addr, now)
+        self.workload.on_write_posted(req.line_addr, now)
         self._iio.release(req)
         # The waiter queue only holds credit-blocked devices; a device
         # blocked on its own *demand* (e.g. a closed-loop workload at
@@ -352,9 +261,7 @@ class DmaDevice:
         self._sim.schedule(self.t_host_return, self._on_read_at_iio, req)
 
     def _on_read_at_iio(self, req: Request) -> None:
-        serialized_at, device_arrival = self._link.send_downstream(
-            CACHELINE_BYTES * req.lines
-        )
+        serialized_at, device_arrival = self._link.send_downstream(CACHELINE_BYTES)
         self._sim.schedule_at(serialized_at, self._finish_read_credit, req)
         self._sim.schedule_at(device_arrival, self._finish_read_data, req)
 
@@ -367,12 +274,8 @@ class DmaDevice:
 
     def _finish_read_data(self, req: Request) -> None:
         now = self._sim.now
-        self.reads_completed += req.lines
-        if req.lines == 1:
-            self.workload.on_read_data(req.line_addr, now)
-        else:
-            for addr in req.tag:
-                self.workload.on_read_data(addr, now)
+        self.reads_completed += 1
+        self.workload.on_read_data(req.line_addr, now)
         # Last stop of a DMA read's lifecycle: the credit was released
         # at completion issue and no component still references it.
         release_request(req)

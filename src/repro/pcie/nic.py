@@ -173,7 +173,6 @@ class Nic(DmaDevice):
         buffer_bytes: int = 2 << 20,
         pfc_enabled: bool = True,
         traffic_class: str = "p2m",
-        burst: int = 1,
     ):
         self.rx = NicWorkload(
             region,
@@ -190,7 +189,6 @@ class Nic(DmaDevice):
             self.rx,
             device_rate=egress_read_rate if egress_read_rate > 0 else None,
             traffic_class=traffic_class,
-            burst=burst,
         )
         self.ingress_rate = ingress_rate
         self.egress_read_rate = egress_read_rate

@@ -125,7 +125,6 @@ class NvmeDevice(DmaDevice):
         device_rate: Optional[float] = None,
         t_io_gap: float = 0.0,
         traffic_class: str = "p2m",
-        burst: int = 1,
     ):
         workload = NvmeWorkload(
             region=region,
@@ -143,7 +142,6 @@ class NvmeDevice(DmaDevice):
             workload,
             device_rate=device_rate,
             traffic_class=traffic_class,
-            burst=burst,
         )
 
     @property

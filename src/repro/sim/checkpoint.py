@@ -308,7 +308,6 @@ def run_key(host, warmup_ns: float, measure_ns: float) -> str:
         ordinal,
         float(warmup_ns),
         float(measure_ns),
-        host.burst,
         host.validate,
         len(host.cores),
         sorted(host.devices),

@@ -7,8 +7,6 @@ simulator's four loops (LFB, IIO read/write buffers, CHA admission
 stages, RPQ/WPQ) historically each carried a bespoke counter pair;
 :class:`CreditPool` unifies them:
 
-* **weighted acquire/release** — burst-mode macro-requests
-  (``REPRO_BURST``) move ``req.lines`` credits per call;
 * **FIFO one-shot waiters** — a blocked sender registers a callback
   that fires exactly once, in registration order, when credits free
   (replacing the IIO's broadcast-to-everyone list);
@@ -86,8 +84,8 @@ class CreditPool:
         self.capacity = capacity
         self.soft = soft
         self.occ = occupancy
-        # Prebound: acquire/release run once per cacheline (or per
-        # macro-request), so skip the attribute walk to the counter.
+        # Prebound: acquire/release run once per cacheline, so skip
+        # the attribute walk to the counter.
         self._occ_update = occupancy.update
         #: slots claimed for requests in transit (RPQ/WPQ admission).
         self.reserved = 0

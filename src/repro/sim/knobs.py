@@ -1,7 +1,7 @@
 """One frozen resolution of every behaviour-affecting ``REPRO_*`` knob.
 
 Historically each component read its own environment knob at
-construction time (``burst_factor()`` in ``Host.__init__``,
+construction time (``ddio_forced()`` in ``Host.__init__``,
 ``uncore_enabled()`` in the CHA wiring, ...). Within one process that
 was merely untidy; with several hosts composed into one cluster it
 became a correctness hazard — two hosts built a few statements apart
@@ -33,7 +33,6 @@ class KnobSet:
       kernels (``REPRO_KERNEL`` / ``REPRO_UNCORE``; bit-identical by
       contract, fingerprinted so a cached/checkpointed result can
       never mask a divergence);
-    * ``burst`` — macro-event burst factor (``REPRO_BURST``);
     * ``ddio`` / ``bank_reg`` — tri-state config force-overrides
       (``REPRO_DDIO`` / ``REPRO_BANK_REG``; ``None`` defers to the
       :class:`~repro.topology.presets.HostConfig`);
@@ -42,7 +41,6 @@ class KnobSet:
 
     kernel: bool
     uncore: bool
-    burst: int
     ddio: Optional[bool]
     bank_reg: Optional[bool]
     validate: bool
@@ -52,7 +50,6 @@ class KnobSet:
         """Read every knob from the environment, once, right now."""
         from repro.dram.kernel import kernel_enabled
         from repro.dram.regulator import bank_reg_forced
-        from repro.sim.records import burst_factor
         from repro.uncore.kernel import uncore_enabled
         from repro.uncore.llc import ddio_forced
         from repro.validate.invariants import enabled as validate_enabled
@@ -60,7 +57,6 @@ class KnobSet:
         return cls(
             kernel=kernel_enabled(),
             uncore=uncore_enabled(),
-            burst=burst_factor(),
             ddio=ddio_forced(),
             bank_reg=bank_reg_forced(),
             validate=validate_enabled(),

@@ -11,30 +11,9 @@ timestamps.
 from __future__ import annotations
 
 import enum
-import os
 from typing import List, Optional
 
 CACHELINE_BYTES = 64
-
-
-def burst_factor() -> int:
-    """The configured macro-event burst factor (``REPRO_BURST``).
-
-    1 (the default) means exact per-cacheline simulation; N>1 lets
-    device DMA engines and core issue loops emit one macro-request per
-    N-line burst (see DESIGN.md §5). Invalid values raise so typos
-    don't silently fall back to exact mode.
-    """
-    raw = os.environ.get("REPRO_BURST", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"REPRO_BURST must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise ValueError(f"REPRO_BURST must be >= 1, got {n}")
-    return n
 
 
 class RequestSource(enum.Enum):
@@ -59,6 +38,10 @@ class RequestKind(enum.Enum):
 
 class Request:
     """A single cacheline request traversing the host network.
+
+    One request is one cacheline on every layer: each credit, queue
+    slot and counter update it makes moves exactly one line (the §4
+    per-cacheline credit loop).
 
     Attributes:
         source: C2M (from a core) or P2M (from a peripheral device).
@@ -96,7 +79,6 @@ class Request:
         "on_cha_admit",
         "tag",
         "queue_seq",
-        "lines",
         "cls_id",
         "ucls_id",
     )
@@ -138,10 +120,6 @@ class Request:
         self.tag = None
         # Monotonic admission order within the MC queue (scheduler age).
         self.queue_seq = 0
-        # Cachelines this request stands for: 1 in exact mode, the
-        # burst factor for REPRO_BURST macro-requests. Every counter
-        # and credit update is weighted by it.
-        self.lines = 1
         # Interned traffic-class id, assigned by the SoA channel kernel
         # at MC admission (dram/kernel.py). -1 = not yet interned.
         self.cls_id = -1
@@ -217,7 +195,6 @@ def acquire_request(
     req.row_id = -1
     req.row_outcome = None
     req.queue_seq = 0
-    req.lines = 1
     # Callbacks and tag were already cleared at release time.
     return req
 

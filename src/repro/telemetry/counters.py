@@ -149,8 +149,7 @@ class LatencyStat:
         self.max_seen = 0.0
 
     def record(self, latency: float, n: int = 1) -> None:
-        """Accumulate one latency sample (``n`` identical samples for
-        a burst-mode macro-request standing for ``n`` cachelines)."""
+        """Accumulate one latency sample (``n`` identical samples)."""
         if latency < 0:
             raise ValueError(f"negative latency {latency}")
         if n == 1:

@@ -165,7 +165,6 @@ class Host:
         config: HostConfig,
         seed: int = 1,
         validate: Optional[bool] = None,
-        burst: Optional[int] = None,
         sim: Optional[Simulator] = None,
         namespace: str = "",
         knobs: Optional[KnobSet] = None,
@@ -176,10 +175,6 @@ class Host:
         #: one set and passes it to every host, so two hosts on the
         #: same clock cannot observe different knob values.
         self.knobs = KnobSet.resolve() if knobs is None else knobs
-        #: macro-event burst factor (lines per macro-request); ``None``
-        #: defers to the ``REPRO_BURST`` environment knob. 1 (the
-        #: default) is the exact per-line simulation.
-        self.burst = self.knobs.burst if burst is None else max(1, int(burst))
         #: runtime invariant checking (repro.validate): ``None``
         #: defers to the ``REPRO_VALIDATE`` environment knob.
         self.validate = self.knobs.validate if validate is None else bool(validate)
@@ -366,7 +361,6 @@ class Host:
             lfb_size=lfb_size or self.config.effective_lfb_size,
             t_core_to_cha=self.config.t_core_to_cha,
             t_data_return=self.config.t_data_return,
-            burst=self.burst,
         )
         self.cores.append(core)
         # The LFB backs both C2M domains: loads hold an entry until
@@ -429,7 +423,6 @@ class Host:
             ),
             t_io_gap=t_io_gap,
             traffic_class=traffic_class,
-            burst=self.burst,
         )
         device.t_host_return = self.config.t_iio_to_cha + self.config.t_cha_to_mc
         self.devices[name] = device
@@ -458,7 +451,6 @@ class Host:
             ),
             t_host_return=self.config.t_iio_to_cha + self.config.t_cha_to_mc,
             traffic_class=traffic_class,
-            burst=self.burst,
         )
         self.devices[name] = device
         return device
@@ -487,7 +479,6 @@ class Host:
             buffer_bytes=buffer_bytes,
             pfc_enabled=pfc_enabled,
             traffic_class=traffic_class,
-            burst=self.burst,
         )
         nic.t_host_return = self.config.t_iio_to_cha + self.config.t_cha_to_mc
         self.devices[name] = nic

@@ -134,28 +134,28 @@ class CHA:
         now = self._sim.now
         if not self._ingress:
             # Empty ingress and a free stage: admission is synchronous,
-            # so skip the queue round-trip. The occupancy pulse (+n
-            # then -n at the same instant) is kept so the counter's
+            # so skip the queue round-trip. The occupancy pulse (+1
+            # then -1 at the same instant) is kept so the counter's
             # integral and high-water mark stay identical to the
             # queued path.
             if req.kind is RequestKind.READ:
-                room = self.read_stage.has_room(req.lines)
+                room = self.read_stage.has_room()
             else:
-                room = self.write_waiting.has_room(req.lines)
+                room = self.write_waiting.has_room()
             if room:
                 occ_update = self.ingress_occ.update
-                occ_update(now, req.lines)
-                occ_update(now, -req.lines)
+                occ_update(now, 1)
+                occ_update(now, -1)
                 self._admit(req, now)
                 return
         self._ingress.append((req, now))
-        self.ingress_occ.update(now, req.lines)
+        self.ingress_occ.update(now, 1)
         self._pump_ingress()
 
     def _stage_has_room(self, req: Request) -> bool:
         if req.kind is RequestKind.READ:
-            return self.read_stage.has_room(req.lines)
-        return self.write_waiting.has_room(req.lines)
+            return self.read_stage.has_room()
+        return self.write_waiting.has_room()
 
     def _pump_ingress(self) -> None:
         """Admit ingress heads while their type stage has room (FCFS:
@@ -165,7 +165,7 @@ class CHA:
             if not self._stage_has_room(req):
                 return
             self._ingress.popleft()
-            self.ingress_occ.update(self._sim.now, -req.lines)
+            self.ingress_occ.update(self._sim.now, -1)
             self._admit(req, t_arrival)
 
     def _admit(self, req: Request, t_arrival: float) -> None:
@@ -176,8 +176,8 @@ class CHA:
         if delay_stat is None:
             self._class_stats(traffic_class)
             delay_stat = self._admission_delay[traffic_class]
-        delay_stat.record(now - t_arrival, req.lines)
-        self._arrival_rates[traffic_class].increment(req.lines)
+        delay_stat.record(now - t_arrival)
+        self._arrival_rates[traffic_class].increment()
         if req.on_cha_admit is not None:
             req.on_cha_admit(req)
         if req.kind is RequestKind.READ:
@@ -198,13 +198,12 @@ class CHA:
                 return
             if evicted_dirty is not None:
                 self._spawn_writeback(evicted_dirty, req.traffic_class)
-        lines = req.lines
-        self.read_stage.acquire(now, lines)
-        self._inflight_reads[req.source].update(now, lines)
+        self.read_stage.acquire(now)
+        self._inflight_reads[req.source].update(now, 1)
         req.on_serviced = self._on_read_serviced
         channel = self._channels[req.channel_id]
-        if channel.can_accept_read(lines):
-            channel.reserve_read(lines)
+        if channel.can_accept_read():
+            channel.reserve_read()
             self._sim.schedule(self.t_cha_to_mc, self._deliver_read, req)
         else:
             self._read_backlog[req.channel_id].append(req)
@@ -214,10 +213,9 @@ class CHA:
         # registered, but the drain check is kept for exactness).
         # Pinned to the canonical method by
         # tests/test_credit.py::TestInlinedFastPaths.
-        lines = req.lines
         pool = self.read_stage
-        pool.free_count += lines
-        pool._occ_update(self._sim.now, -lines)
+        pool.free_count += 1
+        pool._occ_update(self._sim.now, -1)
         if pool._waiters:
             pool._drain_waiters()
         self._channels[req.channel_id].enqueue_read(req)
@@ -234,23 +232,23 @@ class CHA:
     def _on_read_serviced(self, req: Request) -> None:
         now = self._sim.now
         traffic_class = req.traffic_class
-        self._inflight_reads[req.source].update(now, -req.lines)
+        self._inflight_reads[req.source].update(now, -1)
         latency = (req.t_service - req.t_cha_admit) + self.t_cha_to_mc
         stat = self._read_latency.get(traffic_class)
         if stat is None:
             self._class_stats(traffic_class)
             stat = self._read_latency[traffic_class]
-        stat.record(latency, req.lines)
-        self._completion_rates[traffic_class].increment(req.lines)
+        stat.record(latency)
+        self._completion_rates[traffic_class].increment()
 
     def _on_rpq_space(self, channel_id: int) -> None:
         backlog = self._read_backlog[channel_id]
         if not backlog:
             return
         channel = self._channels[channel_id]
-        while backlog and channel.can_accept_read(backlog[0].lines):
+        while backlog and channel.can_accept_read():
             req = backlog.popleft()
-            channel.reserve_read(req.lines)
+            channel.reserve_read()
             self._sim.schedule(self.t_cha_to_mc, self._deliver_read, req)
 
     # ------------------------------------------------------------------
@@ -279,11 +277,10 @@ class CHA:
                 # Absorbed by a resident line; written back on eviction.
                 self._sim.schedule(0.0, self._complete_absorbed_write, req)
                 return
-        lines = req.lines
-        self.write_waiting.acquire(now, lines)
+        self.write_waiting.acquire(now)
         channel = self._channels[req.channel_id]
-        if channel.can_accept_write(lines):
-            channel.reserve_write(lines)
+        if channel.can_accept_write():
+            channel.reserve_write()
             self._sim.schedule(self.t_cha_to_mc, self._deliver_write, req)
         else:
             self._write_backlog[req.channel_id].append(req)
@@ -291,13 +288,12 @@ class CHA:
     def _deliver_write(self, req: Request) -> None:
         now = self._sim.now
         traffic_class = req.traffic_class
-        lines = req.lines
         # CreditPool.release, inlined (hot: every memory write). Pinned
         # to the canonical method by
         # tests/test_credit.py::TestInlinedFastPaths.
         pool = self.write_waiting
-        pool.free_count += lines
-        pool._occ_update(now, -lines)
+        pool.free_count += 1
+        pool._occ_update(now, -1)
         if pool._waiters:
             pool._drain_waiters()
         latency = now - req.t_cha_admit
@@ -305,9 +301,9 @@ class CHA:
         if stat is None:
             self._class_stats(traffic_class)
             stat = self._write_latency[traffic_class]
-        stat.record(latency, lines)
+        stat.record(latency)
         self._channels[req.channel_id].enqueue_write(req)
-        self._completion_rates[traffic_class].increment(lines)
+        self._completion_rates[traffic_class].increment()
         if self._ingress:
             self._pump_ingress()
 
@@ -357,9 +353,9 @@ class CHA:
             return
         channel = self._channels[channel_id]
         moved = False
-        while backlog and channel.can_accept_write(backlog[0].lines):
+        while backlog and channel.can_accept_write():
             req = backlog.popleft()
-            channel.reserve_write(req.lines)
+            channel.reserve_write()
             self._sim.schedule(self.t_cha_to_mc, self._deliver_write, req)
             moved = True
         if moved:
@@ -381,9 +377,3 @@ class CHA:
     def admission_queue_len(self) -> int:
         """Requests waiting in the shared ingress (HoL queue)."""
         return len(self._ingress)
-
-    @property
-    def admission_queue_lines(self) -> int:
-        """Cachelines waiting in the shared ingress (a burst-mode
-        macro-request counts its full width)."""
-        return sum(req.lines for req, _ in self._ingress)

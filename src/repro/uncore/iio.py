@@ -90,11 +90,11 @@ class IIO:
         """Lifetime read-credit releases (lines)."""
         return self.read_pool.free_count
 
-    def has_credit(self, kind: RequestKind, n: int = 1) -> bool:
-        """Whether a device may initiate an ``n``-line DMA burst."""
+    def has_credit(self, kind: RequestKind) -> bool:
+        """Whether a device may initiate a one-line DMA."""
         if kind is RequestKind.WRITE:
-            return self.write_pool.has_room(n)
-        return self.read_pool.has_room(n)
+            return self.write_pool.has_room()
+        return self.read_pool.has_room()
 
     def pool_for(self, kind: RequestKind):
         """The credit pool backing one DMA direction (waiter target)."""
@@ -107,9 +107,9 @@ class IIO:
         now = self._sim.now
         req.t_alloc = now
         if req.kind is RequestKind.WRITE:
-            self.write_pool.acquire(now, req.lines)
+            self.write_pool.acquire(now)
         else:
-            self.read_pool.acquire(now, req.lines)
+            self.read_pool.acquire(now)
 
     def release(self, req: Request) -> None:
         """Replenish the credit and record the P2M domain latency.
@@ -120,21 +120,20 @@ class IIO:
         now = self._sim.now
         req.t_free = now
         traffic_class = req.traffic_class
-        lines = req.lines
         if req.kind is RequestKind.WRITE:
             stat = self._write_latency.get(traffic_class)
             if stat is None:
                 stat = self._hub.latency(f"domain.p2m_write.{traffic_class}")
                 self._write_latency[traffic_class] = stat
-            stat.record(now - req.t_alloc, lines)
-            self.write_pool.release_held(now, req.t_alloc, lines)
+            stat.record(now - req.t_alloc)
+            self.write_pool.release_held(now, req.t_alloc)
         else:
             stat = self._read_latency.get(traffic_class)
             if stat is None:
                 stat = self._hub.latency(f"domain.p2m_read.{traffic_class}")
                 self._read_latency[traffic_class] = stat
-            stat.record(now - req.t_alloc, lines)
-            self.read_pool.release_held(now, req.t_alloc, lines)
+            stat.record(now - req.t_alloc)
+            self.read_pool.release_held(now, req.t_alloc)
 
     # ------------------------------------------------------------------
     # Datapath

@@ -19,13 +19,7 @@ path the same fuse-the-pipeline treatment:
   registries only at window boundaries (:meth:`sync_stats`). The IIO
   *domain* latency stats stay live: :mod:`repro.ext.hostcc` samples
   ``domain.p2m_write.*`` mid-run every control interval, so deferring
-  them would change its control decisions;
-* **batched train credits** — with ``REPRO_BURST`` > 1 the device
-  pumps and the core issue loop commit one *weighted* pool transaction
-  per gathered train instead of one per channel group (see
-  ``pcie/device.py`` / ``cpu/core.py``; N same-instant acquires and
-  one weighted acquire are bit-identical on every observable of the
-  pool — occupancy value, integral, high-water mark, alloc count).
+  them would change its control decisions.
 
 The kernel is an *exact* reimplementation of the reference CHA/IIO
 path, not an approximation: every simulator event is filed at the same
@@ -34,10 +28,10 @@ in the same order on the same operands, and all accounting goes
 through the same pool/counter objects — so results are float-identical
 and the fig03/ddio fingerprints hold with the kernel on or off
 (``tests/test_uncore_kernel.py`` holds it to that standard across the
-REPRO_BURST x REPRO_DDIO x REPRO_VALIDATE x checkpoint-interrupt
-matrix). ``REPRO_UNCORE=off`` keeps the historical object-at-a-time
-path in ``uncore/cha.py`` / ``uncore/iio.py`` (diagnostic aid: any
-divergence with the kernel on is a kernel bug).
+REPRO_DDIO x REPRO_VALIDATE x checkpoint-interrupt matrix).
+``REPRO_UNCORE=off`` keeps the historical object-at-a-time path in
+``uncore/cha.py`` / ``uncore/iio.py`` (diagnostic aid: any divergence
+with the kernel on is a kernel bug).
 
 Wiring mirrors the DRAM kernel's instance-rebinding idiom: the host
 constructs one kernel per :class:`~repro.uncore.cha.CHA`/IIO pair and
@@ -183,13 +177,9 @@ class UncoreKernel:
         self.wr_max: list = []
         # Robust against late construction: start from a walk (the
         # host builds the kernel before any traffic, so these are 0).
-        self.ingress_lines = sum(req.lines for req, _ in self._ingress)
-        self.read_backlog_lines = sum(
-            req.lines for q in self._read_backlog for req in q
-        )
-        self.write_backlog_lines = sum(
-            req.lines for q in self._write_backlog for req in q
-        )
+        self.ingress_lines = len(self._ingress)
+        self.read_backlog_lines = sum(len(q) for q in self._read_backlog)
+        self.write_backlog_lines = sum(len(q) for q in self._write_backlog)
         # Rebind the hot path onto the component instances (the DRAM
         # kernel's idiom): cold CHA methods that call
         # ``self._pump_ingress()`` / ``self.request_admission()``
@@ -237,13 +227,12 @@ class UncoreKernel:
     def request_admission(self, req: Request) -> None:
         """A request arrives at the CHA (from a core or the IIO)."""
         now = self._sim.now
-        lines = req.lines
         if not self._ingress:
             # Empty ingress and a free stage: admission is synchronous.
             read = req.kind is RequestKind.READ
             pool = self.read_stage if read else self.write_waiting
-            if pool.occ.value + lines <= pool.capacity:
-                # The reference keeps an occupancy pulse (+n then -n at
+            if pool.occ.value < pool.capacity:
+                # The reference keeps an occupancy pulse (+1 then -1 at
                 # the same instant) so the integral and high-water mark
                 # stay identical to the queued path; inlined
                 # OccupancyCounter.update x2 (capacity None: no
@@ -253,21 +242,21 @@ class UncoreKernel:
                 if dt > 0:
                     occ._integral += occ.value * dt
                     occ._last_t = now
-                value = occ.value + lines
+                value = occ.value + 1
                 if value > occ.max_seen:
                     occ.max_seen = value
                 # _admit, fused with the admission delay pinned to 0.0:
-                # `total += 0.0 * lines` cannot change an accumulator
-                # that stays >= +0.0, and `0.0 > max` is always false,
-                # so only the line counts move (bit-exact vs the
-                # reference's record(0.0, lines)).
+                # `total += 0.0` cannot change an accumulator that
+                # stays >= +0.0, and `0.0 > max` is always false, so
+                # only the line counts move (bit-exact vs the
+                # reference's record(0.0)).
                 req.t_cha_admit = now
                 cid = self.cls_ids.get(req.traffic_class)
                 if cid is None:
                     cid = self._intern(req.traffic_class)
                 req.ucls_id = cid
-                self.adm_count[cid] += lines
-                self.arr_lines[cid] += lines
+                self.adm_count[cid] += 1
+                self.arr_lines[cid] += 1
                 if req.on_cha_admit is not None:
                     req.on_cha_admit(req)
                 if read:
@@ -276,14 +265,14 @@ class UncoreKernel:
                     self._admit_write(req, cid, now)
                 return
         self._ingress.append((req, now))
-        self.ingress_lines += lines
-        # OccupancyCounter.update(now, +lines), inlined.
+        self.ingress_lines += 1
+        # OccupancyCounter.update(now, +1), inlined.
         occ = self.ingress_occ
         dt = now - occ._last_t
         if dt > 0:
             occ._integral += occ.value * dt
             occ._last_t = now
-        value = occ.value + lines
+        value = occ.value + 1
         occ.value = value
         if value > occ.max_seen:
             occ.max_seen = value
@@ -300,15 +289,14 @@ class UncoreKernel:
         occ = self.ingress_occ
         while ingress:
             req, t_arrival = ingress[0]
-            lines = req.lines
             if req.kind is RequestKind.READ:
-                if read_pool.occ.value + lines > read_pool.capacity:
+                if read_pool.occ.value >= read_pool.capacity:
                     return
-            elif write_pool.occ.value + lines > write_pool.capacity:
+            elif write_pool.occ.value >= write_pool.capacity:
                 return
             ingress.popleft()
-            self.ingress_lines -= lines
-            # OccupancyCounter.update(now, -lines), inlined. ``now`` is
+            self.ingress_lines -= 1
+            # OccupancyCounter.update(now, -1), inlined. ``now`` is
             # re-read per head: _admit can re-enter the pump (writeback
             # spawns), but the clock cannot advance inside one event.
             now = self._sim.now
@@ -316,7 +304,7 @@ class UncoreKernel:
             if dt > 0:
                 occ._integral += occ.value * dt
                 occ._last_t = now
-            occ.value -= lines
+            occ.value -= 1
             self._admit(req, t_arrival, now)
 
     def _admit(self, req: Request, t_arrival: float, now: float) -> None:
@@ -326,16 +314,14 @@ class UncoreKernel:
         if cid is None:
             cid = self._intern(traffic_class)
         req.ucls_id = cid
-        lines = req.lines
-        # LatencyStat.record(delay, lines) + arrivals, deferred into
-        # the flat arrays (``x * 1`` is bit-exact, so the weighted
-        # accumulation covers the n == 1 branch too).
+        # LatencyStat.record(delay) + arrivals, deferred into the flat
+        # arrays.
         latency = now - t_arrival
-        self.adm_total[cid] += latency * lines
-        self.adm_count[cid] += lines
+        self.adm_total[cid] += latency
+        self.adm_count[cid] += 1
         if latency > self.adm_max[cid]:
             self.adm_max[cid] = latency
-        self.arr_lines[cid] += lines
+        self.arr_lines[cid] += 1
         if req.on_cha_admit is not None:
             req.on_cha_admit(req)
         if req.kind is RequestKind.READ:
@@ -361,17 +347,16 @@ class UncoreKernel:
                 # kernel), possibly pumping ingress reentrantly —
                 # exactly the reference interleaving.
                 self._cha._spawn_writeback(evicted_dirty, req.traffic_class)
-        lines = req.lines
         # CreditPool.acquire, inlined (soft pool: uncapped counter).
         # Pinned by tests/test_credit.py::TestInlinedFastPaths.
         pool = self.read_stage
-        pool.alloc_count += lines
+        pool.alloc_count += 1
         occ = pool.occ
         dt = now - occ._last_t
         if dt > 0:
             occ._integral += occ.value * dt
             occ._last_t = now
-        value = occ.value + lines
+        value = occ.value + 1
         occ.value = value
         if value > occ.max_seen:
             occ.max_seen = value
@@ -385,7 +370,7 @@ class UncoreKernel:
         if dt > 0:
             inflight._integral += inflight.value * dt
             inflight._last_t = now
-        value = inflight.value + lines
+        value = inflight.value + 1
         inflight.value = value
         if value > inflight.max_seen:
             inflight.max_seen = value
@@ -394,27 +379,26 @@ class UncoreKernel:
         rpq = self._rpq_pools[channel_id]
         # Channel.can_accept_read + reserve_read, inlined (the reserve
         # re-check cannot fail here: checked in the same expression).
-        if rpq.occ.value + rpq.reserved + lines <= rpq.capacity:
-            rpq.reserved += lines
+        if rpq.occ.value + rpq.reserved < rpq.capacity:
+            rpq.reserved += 1
             self._sim.schedule(self.t_cha_to_mc, self._deliver_read, req)
         else:
             self._read_backlog[channel_id].append(req)
-            self.read_backlog_lines += lines
+            self.read_backlog_lines += 1
 
     def _deliver_read(self, req: Request) -> None:
         now = self._sim.now
-        lines = req.lines
         # CreditPool.release, inlined (the read stage has no waiters
         # registered, but the drain check is kept for exactness).
         # Pinned by tests/test_credit.py::TestInlinedFastPaths.
         pool = self.read_stage
-        pool.free_count += lines
+        pool.free_count += 1
         occ = pool.occ
         dt = now - occ._last_t
         if dt > 0:
             occ._integral += occ.value * dt
             occ._last_t = now
-        occ.value -= lines
+        occ.value -= 1
         if pool._waiters:
             pool._drain_waiters()
         self._channels[req.channel_id].enqueue_read(req)
@@ -423,7 +407,6 @@ class UncoreKernel:
 
     def _on_read_serviced(self, req: Request) -> None:
         now = self._sim.now
-        lines = req.lines
         inflight = (
             self._inflight_c2m
             if req.source is RequestSource.C2M
@@ -433,14 +416,14 @@ class UncoreKernel:
         if dt > 0:
             inflight._integral += inflight.value * dt
             inflight._last_t = now
-        inflight.value -= lines
+        inflight.value -= 1
         latency = (req.t_service - req.t_cha_admit) + self.t_cha_to_mc
         cid = req.ucls_id
-        self.rd_total[cid] += latency * lines
-        self.rd_count[cid] += lines
+        self.rd_total[cid] += latency
+        self.rd_count[cid] += 1
         if latency > self.rd_max[cid]:
             self.rd_max[cid] = latency
-        self.comp_lines[cid] += lines
+        self.comp_lines[cid] += 1
 
     def _on_rpq_space(self, channel_id: int) -> None:
         backlog = self._read_backlog[channel_id]
@@ -450,12 +433,11 @@ class UncoreKernel:
         schedule = self._sim.schedule
         t_cha_to_mc = self.t_cha_to_mc
         while backlog:
-            lines = backlog[0].lines
-            if rpq.occ.value + rpq.reserved + lines > rpq.capacity:
+            if rpq.occ.value + rpq.reserved >= rpq.capacity:
                 return
             req = backlog.popleft()
-            self.read_backlog_lines -= lines
-            rpq.reserved += lines
+            self.read_backlog_lines -= 1
+            rpq.reserved += 1
             schedule(t_cha_to_mc, self._deliver_read, req)
 
     # ------------------------------------------------------------------
@@ -486,16 +468,15 @@ class UncoreKernel:
                     0.0, self._cha._complete_absorbed_write, req
                 )
                 return
-        lines = req.lines
         # CreditPool.acquire, inlined (soft pool: uncapped counter).
         pool = self.write_waiting
-        pool.alloc_count += lines
+        pool.alloc_count += 1
         occ = pool.occ
         dt = now - occ._last_t
         if dt > 0:
             occ._integral += occ.value * dt
             occ._last_t = now
-        value = occ.value + lines
+        value = occ.value + 1
         occ.value = value
         if value > occ.max_seen:
             occ.max_seen = value
@@ -503,37 +484,36 @@ class UncoreKernel:
         wpq = self._wpq_pools[channel_id]
         # Channel.can_accept_write + reserve_write, inlined (the WPQ
         # fullness tracker runs exactly as in the reference reserve).
-        if wpq.occ.value + wpq.reserved + lines <= wpq.capacity:
-            wpq.reserved += lines
+        if wpq.occ.value + wpq.reserved < wpq.capacity:
+            wpq.reserved += 1
             self._track_full[channel_id]()
             self._sim.schedule(self.t_cha_to_mc, self._deliver_write, req)
         else:
             self._write_backlog[channel_id].append(req)
-            self.write_backlog_lines += lines
+            self.write_backlog_lines += 1
 
     def _deliver_write(self, req: Request) -> None:
         now = self._sim.now
-        lines = req.lines
         # CreditPool.release, inlined (hot: every memory write).
         # Pinned by tests/test_credit.py::TestInlinedFastPaths.
         pool = self.write_waiting
-        pool.free_count += lines
+        pool.free_count += 1
         occ = pool.occ
         dt = now - occ._last_t
         if dt > 0:
             occ._integral += occ.value * dt
             occ._last_t = now
-        occ.value -= lines
+        occ.value -= 1
         if pool._waiters:
             pool._drain_waiters()
         latency = now - req.t_cha_admit
         cid = req.ucls_id
-        self.wr_total[cid] += latency * lines
-        self.wr_count[cid] += lines
+        self.wr_total[cid] += latency
+        self.wr_count[cid] += 1
         if latency > self.wr_max[cid]:
             self.wr_max[cid] = latency
         self._channels[req.channel_id].enqueue_write(req)
-        self.comp_lines[cid] += lines
+        self.comp_lines[cid] += 1
         if self._ingress:
             self._pump_ingress()
 
@@ -547,12 +527,11 @@ class UncoreKernel:
         t_cha_to_mc = self.t_cha_to_mc
         moved = False
         while backlog:
-            lines = backlog[0].lines
-            if wpq.occ.value + wpq.reserved + lines > wpq.capacity:
+            if wpq.occ.value + wpq.reserved >= wpq.capacity:
                 break
             req = backlog.popleft()
-            self.write_backlog_lines -= lines
-            wpq.reserved += lines
+            self.write_backlog_lines -= 1
+            wpq.reserved += 1
             track_full()
             schedule(t_cha_to_mc, self._deliver_write, req)
             moved = True
@@ -567,7 +546,6 @@ class UncoreKernel:
         """Allocate IIO entries at DMA initiation time (device side)."""
         now = self._sim.now
         req.t_alloc = now
-        lines = req.lines
         pool = (
             self.write_pool
             if req.kind is RequestKind.WRITE
@@ -575,7 +553,7 @@ class UncoreKernel:
         )
         # CreditPool.acquire, inlined (hard pool: keep the full-time
         # branch and the capacity guard of OccupancyCounter.update).
-        pool.alloc_count += lines
+        pool.alloc_count += 1
         occ = pool.occ
         value = occ.value
         capacity = occ.capacity
@@ -585,7 +563,7 @@ class UncoreKernel:
             if value >= capacity:
                 occ._full_time += dt
             occ._last_t = now
-        value += lines
+        value += 1
         occ.value = value
         if value > capacity:
             raise ValueError(f"occupancy {value} exceeds capacity {capacity}")
@@ -604,7 +582,6 @@ class UncoreKernel:
         now = self._sim.now
         req.t_free = now
         traffic_class = req.traffic_class
-        lines = req.lines
         if req.kind is RequestKind.WRITE:
             stat = self._iio_wr_stats.get(traffic_class)
             if stat is None:
@@ -618,28 +595,20 @@ class UncoreKernel:
                 self._iio_rd_stats[traffic_class] = stat
             pool = self.read_pool
         latency = now - req.t_alloc
-        # LatencyStat.record(latency, lines), inlined, twice: the
-        # per-class domain stat, then the pool hold-time stat — the
-        # same order as IIO.release -> CreditPool.release_held.
-        if lines == 1:
-            stat.total += latency
-            stat.count += 1
-        else:
-            stat.total += latency * lines
-            stat.count += lines
+        # LatencyStat.record(latency), inlined, twice: the per-class
+        # domain stat, then the pool hold-time stat — the same order as
+        # IIO.release -> CreditPool.release_held.
+        stat.total += latency
+        stat.count += 1
         if latency > stat.max_seen:
             stat.max_seen = latency
         held = pool.latency
-        if lines == 1:
-            held.total += latency
-            held.count += 1
-        else:
-            held.total += latency * lines
-            held.count += lines
+        held.total += latency
+        held.count += 1
         if latency > held.max_seen:
             held.max_seen = latency
         # CreditPool release tail, inlined (hard pool).
-        pool.free_count += lines
+        pool.free_count += 1
         occ = pool.occ
         value = occ.value
         dt = now - occ._last_t
@@ -648,7 +617,7 @@ class UncoreKernel:
             if value >= occ.capacity:
                 occ._full_time += dt
             occ._last_t = now
-        occ.value = value - lines
+        occ.value = value - 1
         if pool._waiters:
             pool._drain_waiters()
 
@@ -715,7 +684,7 @@ class UncoreKernel:
         against direct walks; returns the number of checks performed
         (raises ``AssertionError`` naming the first that fails)."""
         checks = 0
-        ingress_walk = sum(req.lines for req, _ in self._ingress)
+        ingress_walk = len(self._ingress)
         assert ingress_walk == self.ingress_lines, (
             f"ingress line cache drifted: walk {ingress_walk} != "
             f"cached {self.ingress_lines}"
@@ -726,13 +695,13 @@ class UncoreKernel:
             f"the FCFS queue ({self.ingress_lines} lines)"
         )
         checks += 1
-        read_walk = sum(req.lines for q in self._read_backlog for req in q)
+        read_walk = sum(len(q) for q in self._read_backlog)
         assert read_walk == self.read_backlog_lines, (
             f"read-backlog line cache drifted: walk {read_walk} != "
             f"cached {self.read_backlog_lines}"
         )
         checks += 1
-        write_walk = sum(req.lines for q in self._write_backlog for req in q)
+        write_walk = sum(len(q) for q in self._write_backlog)
         assert write_walk == self.write_backlog_lines, (
             f"write-backlog line cache drifted: walk {write_walk} != "
             f"cached {self.write_backlog_lines}"

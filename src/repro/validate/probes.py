@@ -240,12 +240,12 @@ class Validator:
         self._now = host.sim.now
         cha = host.cha
         self._require(
-            cha.ingress_occ.value == cha.admission_queue_lines,
+            cha.ingress_occ.value == cha.admission_queue_len,
             "cha.ingress",
             "occupancy-accounting",
             "ingress occupancy counter disagrees with the FCFS queue",
             counter=cha.ingress_occ.value,
-            queue=cha.admission_queue_lines,
+            queue=cha.admission_queue_len,
         )
         self._require(
             cha.read_stage.value >= cha.read_backlog_len,
@@ -354,14 +354,11 @@ class Validator:
             in_flight_reads = channel.rpq_count - bank_reads
             in_flight_writes = channel.wpq_count - bank_writes
             # At most one request has been popped for transmit but not
-            # yet completed (the channel serializes transmissions); a
-            # burst-mode macro-request accounts for up to ``burst``
-            # lines in flight at once.
-            max_in_flight = max(1, getattr(host, "burst", 1))
+            # yet completed (the channel serializes transmissions).
             self._require(
                 in_flight_reads >= 0
                 and in_flight_writes >= 0
-                and in_flight_reads + in_flight_writes <= max_in_flight,
+                and in_flight_reads + in_flight_writes <= 1,
                 name,
                 "bank-fifo-accounting",
                 "bank FIFO contents do not reconcile with queue counts",

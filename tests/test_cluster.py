@@ -151,11 +151,11 @@ class TestClusterCheckpoint:
         assert result.fabric.lines_dropped == 0
 
     def test_knob_gate_refuses_mismatch(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_BURST", raising=False)
+        monkeypatch.delenv("REPRO_DDIO", raising=False)
         cluster = Cluster(cascade_lake(), n_hosts=2)
         path = tmp_path / "rack.ckpt"
         cluster.save(path)
-        monkeypatch.setenv("REPRO_BURST", "4")
+        monkeypatch.setenv("REPRO_DDIO", "1")
         with pytest.raises(CheckpointError, match="knobs changed"):
             Cluster.restore(path)
 

@@ -1,5 +1,5 @@
-"""The unified credit runtime: CreditPool semantics, weighted (burst)
-credit conservation across all four Fig. 5 pools, live DomainSnapshots
+"""The unified credit runtime: CreditPool semantics, credit
+conservation across all four Fig. 5 pools, live DomainSnapshots
 and the ``T <= C * 64 / L`` bound, Domain.from_snapshot, and the fig03
 bit-exactness fingerprint."""
 
@@ -157,9 +157,8 @@ class TestInlinedFastPaths:
 
     The hot paths in ``uncore/cha.py`` (``_deliver_read`` /
     ``_deliver_write``), ``uncore/kernel.py`` (the fused CHA/IIO
-    admission chain: stage acquires, IIO alloc/release-held, the
-    batched per-train acquires in ``pcie/device.py`` / ``cpu/core.py``)
-    and ``dram/kernel.py`` (``enqueue_read`` / ``enqueue_write`` /
+    admission chain: stage acquires, IIO alloc/release-held) and
+    ``dram/kernel.py`` (``enqueue_read`` / ``enqueue_write`` /
     ``_on_transmit_done_*`` / ``_transmit_read``) inline
     ``CreditPool.acquire``, ``CreditPool.release``,
     ``CreditPool.release_held``, ``CreditPool.commit`` and
@@ -189,13 +188,12 @@ class TestInlinedFastPaths:
         for tag, pool in (("canonical", canonical), ("inlined", inlined)):
             pool.acquire(0.0, 3)
             pool.add_waiter(lambda tag=tag: fired.append(tag))
-        canonical.release(1.0, 3)
+        canonical.release(1.0)
         # The inlined recipe, verbatim from cha._deliver_read/_deliver_write
         # and kernel._on_transmit_done_read/_on_transmit_done_write:
-        lines = 3
         pool = inlined
-        pool.free_count += lines
-        pool._occ_update(1.0, -lines)
+        pool.free_count += 1
+        pool._occ_update(1.0, -1)
         if pool._waiters:
             pool._drain_waiters()
         assert self._pool_state(inlined) == self._pool_state(canonical)
@@ -205,13 +203,12 @@ class TestInlinedFastPaths:
         canonical, inlined = make_pool(), make_pool()
         for pool in (canonical, inlined):
             pool.reserve(2)
-        canonical.commit(1.0, 2)
+        canonical.commit(1.0)
         # The inlined recipe, verbatim from kernel.enqueue_read/enqueue_write:
-        lines = 2
         pool = inlined
-        pool.reserved -= lines
-        pool.alloc_count += lines
-        pool._occ_update(1.0, lines)
+        pool.reserved -= 1
+        pool.alloc_count += 1
+        pool._occ_update(1.0, 1)
         assert self._pool_state(inlined) == self._pool_state(canonical)
 
     def test_inlined_acquire_matches_canonical_soft(self):
@@ -219,16 +216,15 @@ class TestInlinedFastPaths:
         # _admit_read/_admit_write stage acquires (soft pool: occupancy
         # counter is uncapped, so no full-time/capacity branches).
         canonical, inlined = make_pool(soft=True), make_pool(soft=True)
-        canonical.acquire(2.0, 3)
-        lines = 3
+        canonical.acquire(2.0)
         pool = inlined
-        pool.alloc_count += lines
+        pool.alloc_count += 1
         occ = pool.occ
         dt = 2.0 - occ._last_t
         if dt > 0:
             occ._integral += occ.value * dt
             occ._last_t = 2.0
-        value = occ.value + lines
+        value = occ.value + 1
         occ.value = value
         if value > occ.max_seen:
             occ.max_seen = value
@@ -243,10 +239,9 @@ class TestInlinedFastPaths:
         for pool in (canonical, inlined):
             pool.acquire(0.0, 8)  # sit at capacity so full-time accrues
             pool.release(3.0, 2)
-        canonical.acquire(5.0, 2)
-        lines = 2
+        canonical.acquire(5.0)
         pool = inlined
-        pool.alloc_count += lines
+        pool.alloc_count += 1
         occ = pool.occ
         value = occ.value
         capacity = occ.capacity
@@ -256,7 +251,7 @@ class TestInlinedFastPaths:
             if value >= capacity:
                 occ._full_time += dt
             occ._last_t = 5.0
-        value += lines
+        value += 1
         occ.value = value
         if value > capacity:
             raise ValueError(f"occupancy {value} exceeds capacity {capacity}")
@@ -265,25 +260,6 @@ class TestInlinedFastPaths:
         assert self._pool_state(inlined) == self._pool_state(canonical)
         assert inlined.occ._integral == canonical.occ._integral
         assert inlined.occ._full_time == canonical.occ._full_time
-
-    def test_weighted_train_acquire_matches_sequential(self):
-        # The REPRO_UNCORE batching in pcie/device.py and cpu/core.py:
-        # one weighted pool transaction per REPRO_BURST train must be
-        # bit-identical to the per-channel-group acquires it replaces
-        # (all at one instant: dt=0 after the first, monotone
-        # high-water mark, alloc counts sum).
-        sequential, batched = make_pool(capacity=32), make_pool(capacity=32)
-        for pool in (sequential, batched):
-            pool.acquire(0.0, 4)  # pre-existing occupancy + integral
-        groups = (3, 1, 2)
-        for lines in groups:
-            sequential.acquire(7.5, lines)
-        batched.acquire(7.5, sum(groups))
-        assert self._pool_state(batched) == self._pool_state(sequential)
-        assert batched.occ._integral == sequential.occ._integral
-        assert batched.occ._full_time == sequential.occ._full_time
-        assert batched.occ.max_seen == sequential.occ.max_seen
-        assert batched.occ._last_t == sequential.occ._last_t
 
     def test_inlined_release_held_matches_canonical(self):
         # The inlined recipe, verbatim from the uncore kernel's
@@ -294,21 +270,16 @@ class TestInlinedFastPaths:
         for tag, pool in (("canonical", canonical), ("inlined", inlined)):
             pool.acquire(0.0, 8)
             pool.add_waiter(lambda tag=tag: fired.append(tag))
-        canonical.release_held(6.0, 2.0, 3)
-        lines = 3
+        canonical.release_held(6.0, 2.0)
         t_alloc = 2.0
         pool = inlined
         latency = 6.0 - t_alloc
         held = pool.latency
-        if lines == 1:
-            held.total += latency
-            held.count += 1
-        else:
-            held.total += latency * lines
-            held.count += lines
+        held.total += latency
+        held.count += 1
         if latency > held.max_seen:
             held.max_seen = latency
-        pool.free_count += lines
+        pool.free_count += 1
         occ = pool.occ
         value = occ.value
         dt = 6.0 - occ._last_t
@@ -317,7 +288,7 @@ class TestInlinedFastPaths:
             if value >= occ.capacity:
                 occ._full_time += dt
             occ._last_t = 6.0
-        occ.value = value - lines
+        occ.value = value - 1
         if pool._waiters:
             pool._drain_waiters()
         assert self._pool_state(inlined) == self._pool_state(canonical)
@@ -356,16 +327,15 @@ class TestInlinedFastPaths:
         assert inlined.deviations == canonical.deviations
 
 
-class TestWeightedConservation:
-    """REPRO_BURST moves ``lines`` credits per call; conservation must
-    hold line-for-line across all four pool families, with runtime
-    validation on and the request free-list pool disabled."""
+class TestConservation:
+    """Conservation must hold line-for-line across all four pool
+    families, with runtime validation on and the request free-list
+    pool disabled."""
 
-    @pytest.mark.parametrize("burst", [4, 16])
-    def test_all_pools_conserve_under_burst(self, burst, monkeypatch):
+    def test_all_pools_conserve(self, monkeypatch):
         monkeypatch.setattr(records, "_POOL", [])
         monkeypatch.setattr(records, "_POOL_ENABLED", False)
-        host = colocated_host(burst=burst, validate=True)  # REPRO_VALIDATE=1
+        host = colocated_host(validate=True)  # REPRO_VALIDATE=1
         result = host.run(WARMUP, MEASURE)
         assert result.invariant_checks > 0
 
@@ -382,17 +352,6 @@ class TestWeightedConservation:
             assert pool.reserved >= 0
             if pool.capacity is not None and not pool.soft:
                 assert 0 <= pool.in_use <= pool.capacity
-
-    @pytest.mark.parametrize("burst", [4, 16])
-    def test_burst_moves_weighted_credits(self, burst, monkeypatch):
-        monkeypatch.setattr(records, "_POOL", [])
-        monkeypatch.setattr(records, "_POOL_ENABLED", False)
-        host = colocated_host(burst=burst, validate=True)
-        host.run(WARMUP, MEASURE)
-        for kind in (DomainKind.C2M_READ, DomainKind.P2M_WRITE, DomainKind.P2M_READ):
-            pools = host.domains.domain_pools(kind)
-            assert pools, f"no pools registered for {kind}"
-            assert sum(p.alloc_count for p in pools) >= burst
 
 
 class TestDomainSnapshots:

@@ -6,8 +6,8 @@ reimplementation of the request-at-a-time reference path, so the
 differential tests here demand bit-identical results — integer
 counters equal, float accumulators equal with ``==``, per-request
 retire timestamps equal — across randomized workloads covering both
-directions, row hits/misses/conflicts, multi-line (burst) requests and
-the P2M write-priority policy.
+directions, row hits/misses/conflicts and the P2M write-priority
+policy.
 """
 
 import os
@@ -30,7 +30,6 @@ request_strategy = st.tuples(
     st.integers(min_value=0, max_value=7),  # bank
     st.integers(min_value=0, max_value=3),  # row
     st.floats(min_value=0.0, max_value=50.0),  # inter-arrival gap
-    st.integers(min_value=1, max_value=3),  # lines (macro-request burst)
     st.booleans(),  # P2M source (exercises p2m_write_priority)
 )
 
@@ -83,13 +82,13 @@ def run_workload(specs, kernel: bool, p2m_priority=False, bank_reg=False):
 
     def submit(req):
         if req.kind is RequestKind.READ:
-            channel.reserve_read(req.lines)
+            channel.reserve_read()
             channel.enqueue_read(req)
         else:
-            channel.reserve_write(req.lines)
+            channel.reserve_write()
             channel.enqueue_write(req)
 
-    for i, (is_write, bank, row, gap, lines, p2m) in enumerate(specs):
+    for i, (is_write, bank, row, gap, p2m) in enumerate(specs):
         kind = RequestKind.WRITE if is_write else RequestKind.READ
         source = RequestSource.P2M if p2m else RequestSource.C2M
         tc = "p2m" if p2m else "c2m"
@@ -97,7 +96,6 @@ def run_workload(specs, kernel: bool, p2m_priority=False, bank_reg=False):
         req.channel_id = 0
         req.bank_id = bank
         req.row_id = row
-        req.lines = lines
         if kind is RequestKind.READ:
             req.on_complete = lambda r: read_log.append(
                 (r.line_addr, r.t_service, r.row_outcome, sim.now)
@@ -242,16 +240,15 @@ class TestDifferential:
 
         def run(kernel):
             sim, channel = build_channel(kernel)
-            for i, (is_write, bank, row, gap, lines, _p2m) in enumerate(specs):
+            for i, (is_write, bank, row, gap, _p2m) in enumerate(specs):
                 kind = RequestKind.WRITE if is_write else RequestKind.READ
                 req = Request(RequestSource.C2M, kind, i)
                 req.channel_id, req.bank_id, req.row_id = 0, bank, row
-                req.lines = lines
                 if kind is RequestKind.READ:
-                    channel.reserve_read(lines)
+                    channel.reserve_read()
                     channel.enqueue_read(req)
                 else:
-                    channel.reserve_write(lines)
+                    channel.reserve_write()
                     channel.enqueue_write(req)
             sim.schedule_at(reset_at, channel.reset_stats, reset_at)
             sim.run_until(500_000.0)
@@ -334,18 +331,17 @@ class TestKernelIntrospection:
             assert channel.queued_in_banks() == channel.walk_queued_lines()
 
         t = 0.0
-        for i, (is_write, bank, row, gap, lines, _p2m) in enumerate(specs):
+        for i, (is_write, bank, row, gap, _p2m) in enumerate(specs):
             kind = RequestKind.WRITE if is_write else RequestKind.READ
             req = Request(RequestSource.C2M, kind, i)
             req.channel_id, req.bank_id, req.row_id = 0, bank, row
-            req.lines = lines
 
             def submit(r=req):
                 if r.kind is RequestKind.READ:
-                    channel.reserve_read(r.lines)
+                    channel.reserve_read()
                     channel.enqueue_read(r)
                 else:
-                    channel.reserve_write(r.lines)
+                    channel.reserve_write()
                     channel.enqueue_write(r)
 
             t += gap

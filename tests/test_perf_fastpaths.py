@@ -1,5 +1,5 @@
-"""Fast-path guarantees: scheduler lane ordering, the Request free-list
-pool, and the opt-in REPRO_BURST macro-event mode."""
+"""Fast-path guarantees: scheduler lane ordering and the Request
+free-list pool."""
 
 import heapq
 import random
@@ -7,13 +7,11 @@ import random
 import pytest
 
 from repro import Host, RequestKind, cascade_lake
-from repro.experiments import runcache
 from repro.sim import records
 from repro.sim.engine import Simulator
 from repro.sim.records import (
     RequestSource,
     acquire_request,
-    burst_factor,
     release_request,
 )
 from repro.validate.harness import assert_results_identical
@@ -27,12 +25,11 @@ def clean_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_CACHE", raising=False)
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_BURST", raising=False)
     monkeypatch.delenv("REPRO_VALIDATE", raising=False)
 
 
-def _host(burst=None, validate=None):
-    host = Host(cascade_lake(), validate=validate, burst=burst)
+def _host():
+    host = Host(cascade_lake())
     host.add_stream_cores(2, store_fraction=0.5)
     host.add_raw_dma(RequestKind.WRITE, name="dma")
     return host
@@ -102,7 +99,7 @@ class TestRequestPool:
         req.t_alloc = 5.0
         req.t_free = 9.0
         req.channel_id = 3
-        req.lines = 4
+        req.queue_seq = 4
         req.tag = object()
         req.on_complete = print
         release_request(req)
@@ -116,7 +113,7 @@ class TestRequestPool:
         assert again.traffic_class == "p2m"
         assert again.t_alloc is None and again.t_free is None
         assert again.channel_id == -1
-        assert again.lines == 1
+        assert again.queue_seq == 0
         assert again.tag is None and again.on_complete is None
 
     def test_pool_never_aliases_a_live_request(self, monkeypatch):
@@ -160,51 +157,3 @@ class TestRequestPool:
         plain = _host().run(WARMUP, MEASURE)
         assert_results_identical(pooled, plain, "pooled vs unpooled")
         assert pooled.events_processed == plain.events_processed
-
-
-class TestBurstMode:
-    def test_off_by_default(self):
-        assert burst_factor() == 1
-        assert _host().burst == 1
-
-    def test_env_knob_sets_host_burst(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BURST", "4")
-        assert burst_factor() == 4
-        assert _host().burst == 4
-
-    @pytest.mark.parametrize("bad", ["zero", "0", "-3"])
-    def test_rejects_bad_values(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_BURST", bad)
-        with pytest.raises(ValueError, match="REPRO_BURST"):
-            burst_factor()
-
-    def test_burst_within_tolerance_of_exact(self):
-        """Macro-events are an approximation; the headline bandwidth
-        must stay within the documented tolerance of per-line mode."""
-        exact = _host(burst=1).run(2_000.0, 10_000.0)
-        for factor in (4, 16):
-            approx = _host(burst=factor).run(2_000.0, 10_000.0)
-            assert approx.mem_bw_total == pytest.approx(
-                exact.mem_bw_total, rel=0.15
-            ), f"burst={factor} bandwidth outside tolerance"
-            for cls, bw in exact.mem_bw_by_class.items():
-                if bw > 0.5:  # skip near-idle classes (relative noise)
-                    assert approx.mem_bw_by_class[cls] == pytest.approx(
-                        bw, rel=0.20
-                    ), f"burst={factor} class {cls} outside tolerance"
-
-    def test_burst_composes_with_validation(self):
-        """REPRO_BURST=4 under REPRO_VALIDATE must pass every runtime
-        invariant check (credits, conservation, Little's law)."""
-        result = _host(burst=4, validate=True).run(WARMUP, MEASURE)
-        assert result.invariant_checks > 0
-
-    def test_burst_factor_hashed_into_cache_key(self, monkeypatch):
-        base = runcache.key_for(len, ("workload",))
-        assert base is not None
-        monkeypatch.setenv("REPRO_BURST", "4")
-        burst_key = runcache.key_for(len, ("workload",))
-        assert burst_key is not None
-        assert burst_key != base
-        monkeypatch.delenv("REPRO_BURST")
-        assert runcache.key_for(len, ("workload",)) == base

@@ -1,12 +1,24 @@
 """Run-cache behaviour: hit/miss, invalidation, escape hatches."""
 
+import dataclasses
 import pickle
 
 import pytest
 
 from repro.experiments import runcache
+from repro.sim.knobs import KnobSet
 
 CALLS = []
+
+#: per KnobSet field: the environment knob and a value that flips the
+#: field away from its default
+KNOB_FLIPS = {
+    "kernel": ("REPRO_KERNEL", "off"),
+    "uncore": ("REPRO_UNCORE", "off"),
+    "ddio": ("REPRO_DDIO", "1"),
+    "bank_reg": ("REPRO_BANK_REG", "1"),
+    "validate": ("REPRO_VALIDATE", "1"),
+}
 
 
 def _expensive(x, y=1):
@@ -45,6 +57,23 @@ class TestKeying:
     def test_disabled_returns_none(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "off")
         assert runcache.key_for(_expensive, (3,), {}) is None
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(KnobSet)])
+    def test_every_knob_hashed_into_key(self, field, monkeypatch):
+        """Results under different knobs must never replay each
+        other's cache entries, including the float-identical kernels
+        (a cached result must not mask a divergence)."""
+        for env, _ in KNOB_FLIPS.values():
+            monkeypatch.delenv(env, raising=False)
+        default = KnobSet.resolve()
+        base = runcache.key_for(len, ("workload",))
+        env, value = KNOB_FLIPS[field]
+        monkeypatch.setenv(env, value)
+        assert getattr(KnobSet.resolve(), field) != getattr(default, field)
+        flipped = runcache.key_for(len, ("workload",))
+        assert flipped is not None and flipped != base
+        monkeypatch.delenv(env)
+        assert runcache.key_for(len, ("workload",)) == base
 
 
 class TestRoundTrip:

@@ -6,8 +6,7 @@ The kernel (``repro.uncore.kernel``) claims to be an *exact*
 reimplementation of the CHA/IIO object-at-a-time path, so the
 differential tests demand bit-identical RunResults — every latency
 accumulator, occupancy integral, domain snapshot and throughput equal
-with ``==`` — across the REPRO_BURST x REPRO_DDIO x REPRO_VALIDATE
-matrix, plus checkpoint-interrupt resume with the kernel on.
+with ``==`` — across the REPRO_DDIO x REPRO_VALIDATE matrix, plus checkpoint-interrupt resume with the kernel on.
 """
 
 import itertools
@@ -38,10 +37,9 @@ def build_host(store_fraction=0.5):
     return host
 
 
-def run_point(uncore, burst="1", ddio=None, validate=None):
+def run_point(uncore, ddio=None, validate=None):
     with _environment(
         REPRO_UNCORE=uncore,
-        REPRO_BURST=burst,
         REPRO_DDIO=ddio,
         REPRO_VALIDATE=validate,
     ):
@@ -97,21 +95,21 @@ class TestDifferential:
     """The reference path and the kernel must agree bit-exactly."""
 
     @pytest.mark.parametrize(
-        "burst,ddio,validate",
-        list(itertools.product(("1", "4"), (None, "1"), (None, "1"))),
+        "ddio,validate",
+        list(itertools.product((None, "1"), (None, "1"))),
     )
-    def test_reference_vs_kernel_matrix(self, burst, ddio, validate):
-        ref = run_point("off", burst=burst, ddio=ddio, validate=validate)
-        ker = run_point("on", burst=burst, ddio=ddio, validate=validate)
-        context = f"burst={burst} ddio={ddio} validate={validate}"
+    def test_reference_vs_kernel_matrix(self, ddio, validate):
+        ref = run_point("off", ddio=ddio, validate=validate)
+        ker = run_point("on", ddio=ddio, validate=validate)
+        context = f"ddio={ddio} validate={validate}"
         assert_results_identical(ref, ker, context=context)
         assert result_fingerprint(ref) == result_fingerprint(ker)
 
     @pytest.mark.parametrize("store_fraction", [0.0, 1.0])
     def test_reference_vs_kernel_store_mix(self, store_fraction):
         def point(uncore):
-            with _environment(REPRO_UNCORE=uncore, REPRO_BURST="1",
-                              REPRO_DDIO=None, REPRO_VALIDATE=None):
+            with _environment(REPRO_UNCORE=uncore, REPRO_DDIO=None,
+                              REPRO_VALIDATE=None):
                 return build_host(store_fraction).run(WARMUP, MEASURE)
 
         assert_results_identical(
@@ -123,9 +121,8 @@ class TestDifferential:
         """Kill-and-resume with the kernel on must be bit-identical to
         straight-through, and both to the reference path (the kernel
         arrays ride inside the host pickle)."""
-        with _environment(REPRO_UNCORE="on", REPRO_BURST="1",
-                          REPRO_DDIO=None, REPRO_VALIDATE=None,
-                          REPRO_CKPT=None):
+        with _environment(REPRO_UNCORE="on", REPRO_DDIO=None,
+                          REPRO_VALIDATE=None, REPRO_CKPT=None):
             baseline, fingerprints = resume_differential(
                 build_host, WARMUP, MEASURE,
                 at_events=(2_000, 15_000),
@@ -140,8 +137,8 @@ class TestDifferential:
 
 class TestKernelIntrospection:
     def _running_host(self):
-        with _environment(REPRO_UNCORE="on", REPRO_BURST="1",
-                          REPRO_DDIO=None, REPRO_VALIDATE=None):
+        with _environment(REPRO_UNCORE="on", REPRO_DDIO=None,
+                          REPRO_VALIDATE=None):
             host = build_host()
             return host, host.uncore_kernel
 

@@ -127,6 +127,18 @@ class TestSeededCorruption:
             host._validator.end_window(host)
         assert "mc.ch0" in str(excinfo.value)
 
+    def test_second_in_flight_transmit_detected(self):
+        """The channel serializes transmissions, so at most one request
+        may have left its bank FIFO while still holding a queue slot."""
+        host = self._run_validated()
+        channel = host.mc.channels[0]
+        reads, writes = channel.queued_in_banks()
+        in_flight = channel.rpq_count - reads + channel.wpq_count - writes
+        assert in_flight in (0, 1)
+        channel.rpq_pool.occ.value += 2 - in_flight
+        with pytest.raises(InvariantViolation, match="bank-fifo-accounting"):
+            host._validator.check_channels(host)
+
     def test_credit_leak_detected(self):
         host = self._run_validated()
         host.cores[0].lfb.alloc_count += 1  # phantom acquisition

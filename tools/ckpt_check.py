@@ -55,7 +55,6 @@ def child(out_path: str) -> int:
     # Same knob pinning as tools/fig03_check.py — the fingerprint is
     # the exact per-line simulation. REPRO_KERNEL and REPRO_UNCORE are
     # left alone: the parent drives them.
-    os.environ["REPRO_BURST"] = "1"
     for name in ("REPRO_VALIDATE", "REPRO_CHAOS", "REPRO_DDIO", "REPRO_BANK_REG"):
         os.environ.pop(name, None)
 

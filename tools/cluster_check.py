@@ -33,7 +33,6 @@ BASELINE = os.path.join(
 def main() -> int:
     # Same pinning discipline as fig03_check: the fingerprint is the
     # exact per-line simulation under default physics.
-    os.environ["REPRO_BURST"] = "1"
     os.environ.pop("REPRO_VALIDATE", None)
     os.environ.pop("REPRO_CHAOS", None)
     os.environ.pop("REPRO_DDIO", None)

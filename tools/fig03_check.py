@@ -43,7 +43,6 @@ def main() -> int:
     # The fingerprint is the exact per-line simulation: pin the knobs
     # that legitimately change results so ad-hoc environments cannot
     # fail (or trivially pass) the gate.
-    os.environ["REPRO_BURST"] = "1"
     os.environ.pop("REPRO_VALIDATE", None)
     os.environ.pop("REPRO_CHAOS", None)
     os.environ.pop("REPRO_DDIO", None)

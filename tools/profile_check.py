@@ -14,8 +14,8 @@ The run is pinned to the shapes the perf work targets:
   instead of a supervisor waiting on worker processes;
 * a throwaway ``REPRO_CACHE_DIR`` — a run-cache hit would profile
   nothing;
-* ``REPRO_BURST=1`` and no validate/chaos/DDIO/bank-reg overrides —
-  the plain per-line simulation, same as the fingerprint gates.
+* no validate/chaos/DDIO/bank-reg overrides — the plain default
+  simulation, same as the fingerprint gates.
 
 ``REPRO_KERNEL`` and ``REPRO_UNCORE`` are left to the caller, so the
 object-at-a-time reference paths and the SoA kernels can be profiled
@@ -64,20 +64,14 @@ def main() -> int:
     args = parser.parse_args()
 
     os.environ["REPRO_JOBS"] = "1"
-    os.environ["REPRO_BURST"] = "1"
     for name in ("REPRO_VALIDATE", "REPRO_CHAOS", "REPRO_DDIO", "REPRO_BANK_REG"):
         os.environ.pop(name, None)
 
     with tempfile.TemporaryDirectory() as tmp:
         os.environ["REPRO_CACHE_DIR"] = tmp
+        from repro.dram.kernel import kernel_enabled
         from repro.experiments.quadrants import QUADRANTS, quadrant_experiment
         from repro.uncore.kernel import uncore_enabled
-
-        try:
-            from repro.dram.kernel import kernel_enabled
-        except ImportError:  # pragma: no cover - kernel module is tier-1
-            def kernel_enabled() -> bool:
-                return False
 
         experiment = quadrant_experiment(QUADRANTS[QUADRANT])
         profiler = cProfile.Profile()
