@@ -34,10 +34,8 @@ validator probe (:meth:`repro.validate.probes.InvariantProbes
 
 ``REPRO_KERNEL=off`` keeps the historical request-at-a-time reference
 path (diagnostic aid: any divergence with the kernel on is a kernel
-bug). numpy is optional — the hot path is plain lists either way
-(at 16-64 banks, numpy scalar indexing measured slower than list
-indexing), numpy only accelerates window-level snapshots — mirroring
-the :mod:`repro.telemetry.bankstats` gating.
+bug). The per-bank state is plain lists: at 16-64 banks, numpy scalar
+indexing measured slower than list indexing.
 """
 
 from __future__ import annotations
@@ -48,11 +46,6 @@ from typing import TYPE_CHECKING
 
 from repro.sim.engine import Alarm
 from repro.sim.records import RequestKind, RequestSource, release_request
-
-try:  # pragma: no cover - exercised via monkeypatch in tests
-    import numpy as np
-except ImportError:  # minimal interpreters (e.g. the 3.10 floor check)
-    np = None  # type: ignore[assignment]
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dram.controller import Channel, ChannelStats
@@ -724,21 +717,11 @@ class ChannelKernel:
         return reads, writes
 
     def bank_state(self):
-        """Snapshot ``(open_row, busy_until, prep_pending)`` arrays.
-
-        numpy arrays when numpy is importable, plain lists otherwise —
-        the same gating as :mod:`repro.telemetry.bankstats`.
-        """
-        if np is None:
-            return (
-                list(self.open_row),
-                list(self.busy_until),
-                [bool(p) for p in self.prep_pending],
-            )
+        """Snapshot ``(open_row, busy_until, prep_pending)`` lists."""
         return (
-            np.asarray(self.open_row, dtype=np.int64),
-            np.asarray(self.busy_until, dtype=np.float64),
-            np.asarray(self.prep_pending, dtype=np.bool_),
+            list(self.open_row),
+            list(self.busy_until),
+            [bool(p) for p in self.prep_pending],
         )
 
     def verify_consistency(self) -> int:

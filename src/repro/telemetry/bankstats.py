@@ -14,11 +14,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import List, Sequence
 
-try:
-    import numpy as np
-except ImportError:  # minimal interpreters (e.g. the 3.10 floor check)
-    np = None  # type: ignore[assignment]
-
 
 class BankLoadSampler:
     """Samples per-bank request counts every ``sample_every`` requests.
@@ -83,29 +78,17 @@ class BankLoadSampler:
 
 def bank_deviation_cdf(
     deviations: Sequence[float], grid: Sequence[float] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[List[float], List[float]]:
     """Empirical CDF of bank deviation samples.
 
-    Returns ``(x, F)`` arrays suitable for plotting against Fig. 7d.
-    ``grid`` defaults to the sorted sample values. Without numpy the
-    same values come back as plain lists.
+    Returns ``(x, F)`` lists suitable for plotting against Fig. 7d.
+    ``grid`` defaults to the sorted sample values.
     """
-    if np is None:
-        data = sorted(float(d) for d in deviations)
-        n = len(data)
-        if n == 0:
-            return [], []  # type: ignore[return-value]
-        if grid is None:
-            return data, [k / n for k in range(1, n + 1)]  # type: ignore[return-value]
-        x = [float(g) for g in grid]
-        return x, [bisect_right(data, g) / n for g in x]  # type: ignore[return-value]
-    data = np.asarray(sorted(deviations), dtype=float)
-    if data.size == 0:
-        return np.array([]), np.array([])
+    data = sorted(float(d) for d in deviations)
+    n = len(data)
+    if n == 0:
+        return [], []
     if grid is None:
-        x = data
-        f = np.arange(1, data.size + 1) / data.size
-        return x, f
-    x = np.asarray(grid, dtype=float)
-    f = np.searchsorted(data, x, side="right") / data.size
-    return x, f
+        return data, [k / n for k in range(1, n + 1)]
+    x = [float(g) for g in grid]
+    return x, [bisect_right(data, g) / n for g in x]

@@ -696,10 +696,13 @@ class Host:
             self.uncore_kernel.sync_stats()
         now = self.sim.now
         mc = self.mc
-        classes = set()
+        seen = set()
         for channel in mc.channels:
-            classes.update(channel.stats.class_lines_read)
-            classes.update(channel.stats.class_lines_written)
+            seen.update(channel.stats.class_lines_read)
+            seen.update(channel.stats.class_lines_written)
+        # Sorted so the per-class dicts' key order does not depend on
+        # the string hash seed (PYTHONHASHSEED).
+        classes = sorted(seen)
         mem_bw_by_class = {
             tc: mc.class_bandwidth_bytes_per_ns(tc, elapsed_ns) for tc in classes
         }

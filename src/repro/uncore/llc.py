@@ -8,9 +8,10 @@ evicts a dirty DMA line — memory write bandwidth is unchanged versus
 DDIO-off (§2.1). Smaller buffers fit and are absorbed entirely.
 
 The model is a set-associative tag store with per-line dirty and
-is-DMA bits. DMA allocations respect the DDIO way budget by evicting
-the LRU *DMA-tagged* line of the set once the budget is exceeded;
-core fills use plain LRU over all ways.
+is-DMA bits, held in flat columns rather than one object per line (see
+:class:`LastLevelCache`). DMA allocations respect the DDIO way budget
+by evicting the LRU *DMA-tagged* line of the set once the budget is
+exceeded; core fills use plain LRU over all ways.
 
 The DDIO slice doubles as the fifth contention domain ("From RDMA to
 RDCA", PAPERS.md): a :class:`~repro.sim.credit.CreditPool` attached via
@@ -28,13 +29,24 @@ so any existing experiment can be re-run with the cache last mile on.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from array import array
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.sim.records import CACHELINE_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.credit import CreditPool
     from repro.telemetry.counters import LatencyStat
+
+#: tag of an invalid way (line addresses are non-negative).
+_EMPTY = -1
+#: line-state bytes. A DMA line is always dirty (it is installed dirty
+#: or converted by a write, and nothing cleans a line), so the state is
+#: one of three values and ``bytearray.count``/``rfind`` find the DMA
+#: lines of a set without a Python loop.
+_CLEAN = 0
+_DIRTY = 1
+_DMA = 3
 
 
 def ddio_forced() -> Optional[bool]:
@@ -54,17 +66,6 @@ def ddio_forced() -> Optional[bool]:
     raise ValueError(f"REPRO_DDIO must be 0/1 (or unset), got {raw!r}")
 
 
-class _Line:
-    __slots__ = ("addr", "dirty", "is_dma", "t_install")
-
-    def __init__(self, addr: int, dirty: bool, is_dma: bool):
-        self.addr = addr
-        self.dirty = dirty
-        self.is_dma = is_dma
-        #: when the line last became DMA-tagged (credit-hold start).
-        self.t_install = 0.0
-
-
 def _zero_clock() -> float:
     """Default clock before :meth:`LastLevelCache.attach_ddio_pool`."""
     return 0.0
@@ -78,7 +79,14 @@ class LastLevelCache:
         ways: associativity.
         ddio_ways: maximum ways per set that DMA lines may occupy.
 
-    Sets are kept as MRU-first lists of :class:`_Line`.
+    The tag store keeps no object per line. Way ``p`` of set ``s`` is
+    slot ``s * ways + p`` of three flat columns: ``_tags`` (the line
+    address, ``_EMPTY`` for an invalid way), ``_state`` (clean, dirty
+    or DMA) and ``_t_dma`` (when the line last became DMA-tagged: the
+    credit-hold start; 0.0 for core lines). A set's ways are kept in
+    MRU-first order with the valid lines as a prefix, so promoting a
+    line to MRU is one slice shift per column, the LRU line is the last
+    way, and the LRU DMA line is the set's last DMA state byte.
     """
 
     def __init__(self, size_bytes: int, ways: int, ddio_ways: int = 2):
@@ -89,7 +97,10 @@ class LastLevelCache:
         self.ways = ways
         self.ddio_ways = ddio_ways
         self.n_sets = max(1, size_bytes // (ways * CACHELINE_BYTES))
-        self._sets: List[List[_Line]] = [[] for _ in range(self.n_sets)]
+        slots = self.n_sets * ways
+        self._tags = array("q", [_EMPTY]) * slots
+        self._state = bytearray(slots)
+        self._t_dma = array("d", [0.0]) * slots
         self.hits = 0
         self.misses = 0
         # Optional credit-domain tracking (attach_ddio_pool): every
@@ -130,30 +141,71 @@ class LastLevelCache:
         self._clock = clock
 
     # ------------------------------------------------------------------
-    # Credit-domain hooks (no-ops until attach_ddio_pool)
+    # Tag-store primitives
     # ------------------------------------------------------------------
 
-    def _dma_installed(self, line: _Line, now: float) -> None:
-        line.t_install = now
-        self._ddio_pool.acquire(now, 1)
+    def _find(self, base: int, addr: int) -> int:
+        """Way of ``addr`` in the set starting at slot ``base``, or -1."""
+        tags = self._tags[base:base + self.ways]
+        if addr in tags:
+            return tags.index(addr)
+        return -1
 
-    def _dma_evicted(self, line: _Line, now: float) -> None:
+    def _put_mru(
+        self, base: int, way: int, addr: int, state: int, t_dma: float
+    ) -> None:
+        """Write a line at MRU, shifting ways ``[0, way)`` down one.
+
+        Way ``way`` is overwritten: it holds the line being promoted,
+        the victim just evicted, or the invalid way an install fills.
+        """
+        if way:
+            end = base + way
+            tags = self._tags
+            tags[base + 1:end + 1] = tags[base:end]
+            states = self._state
+            states[base + 1:end + 1] = states[base:end]
+            times = self._t_dma
+            times[base + 1:end + 1] = times[base:end]
+        self._tags[base] = addr
+        self._state[base] = state
+        self._t_dma[base] = t_dma
+
+    def _evict(self, slot: int) -> Optional[int]:
+        """Account for the line leaving ``slot`` (nothing for an invalid
+        way); returns its address if dirty, for the caller's writeback."""
+        addr = self._tags[slot]
+        if addr == _EMPTY:
+            return None
+        state = self._state[slot]
+        if state == _DMA and self._ddio_pool is not None:
+            self._dma_evicted(self._t_dma[slot], self._clock())
+        return addr if state else None
+
+    def _promote_dma(self, base: int, way: int, addr: int) -> None:
+        """Move a resident line to MRU as a dirty DMA line.
+
+        A core line converted this way starts holding a slice credit
+        now (beyond the way budget — the reason the llc.ddio pool is
+        soft); a DMA line keeps its hold start.
+        """
+        slot = base + way
+        t_dma = self._t_dma[slot]
+        if self._state[slot] != _DMA:
+            pool = self._ddio_pool
+            if pool is not None:
+                t_dma = self._clock()
+                pool.acquire(t_dma, 1)
+        self._put_mru(base, way, addr, _DMA, t_dma)
+
+    def _dma_evicted(self, t_dma: float, now: float) -> None:
         if self._ddio_latency is not None:
-            self._ddio_latency.record(now - line.t_install, 1)
-        self._ddio_pool.release_held(now, line.t_install, 1)
+            self._ddio_latency.record(now - t_dma, 1)
+        self._ddio_pool.release_held(now, t_dma, 1)
 
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
-
-    def _set_for(self, line_addr: int) -> List[_Line]:
-        return self._sets[line_addr % self.n_sets]
-
-    def _find(self, lines: List[_Line], addr: int) -> Optional[int]:
-        for i, line in enumerate(lines):
-            if line.addr == addr:
-                return i
-        return None
 
     def lookup_read(self, line_addr: int, allocate: bool = True) -> Tuple[bool, Optional[int]]:
         """Read lookup. Returns ``(hit, evicted_dirty_addr)``.
@@ -162,16 +214,22 @@ class LastLevelCache:
         clean via LRU; if the victim is dirty its address is returned
         so the caller can issue the writeback.
         """
-        lines = self._set_for(line_addr)
-        idx = self._find(lines, line_addr)
-        if idx is not None:
+        base = (line_addr % self.n_sets) * self.ways
+        way = self._find(base, line_addr)
+        if way >= 0:
             self.hits += 1
-            lines.insert(0, lines.pop(idx))
+            if way:
+                slot = base + way
+                self._put_mru(
+                    base, way, line_addr, self._state[slot], self._t_dma[slot]
+                )
             return True, None
         self.misses += 1
-        evicted = None
-        if allocate:
-            evicted = self._install(lines, _Line(line_addr, dirty=False, is_dma=False))
+        if not allocate:
+            return False, None
+        last = self.ways - 1
+        evicted = self._evict(base + last)
+        self._put_mru(base, last, line_addr, _CLEAN, 0.0)
         return False, evicted
 
     def write_allocate_ddio(self, line_addr: int) -> Tuple[str, Optional[int]]:
@@ -181,78 +239,42 @@ class LastLevelCache:
         dirty, possibly evicting — the steady-state thrash path for
         large buffers).
         """
-        lines = self._set_for(line_addr)
-        idx = self._find(lines, line_addr)
-        if idx is not None:
+        base = (line_addr % self.n_sets) * self.ways
+        way = self._find(base, line_addr)
+        if way >= 0:
             self.hits += 1
-            line = lines.pop(idx)
-            line.dirty = True
-            if not line.is_dma:
-                # A resident core line converted by a DDIO write starts
-                # holding a slice credit now (beyond the way budget —
-                # the reason the llc.ddio pool is soft).
-                line.is_dma = True
-                if self._ddio_pool is not None:
-                    self._dma_installed(line, self._clock())
-            lines.insert(0, line)
+            self._promote_dma(base, way, line_addr)
             return "hit", None
         self.misses += 1
-        evicted = self._install_dma(lines, _Line(line_addr, dirty=True, is_dma=True))
+        # Victim: the LRU DMA line once the DDIO way budget is used,
+        # else plain LRU (an invalid way while the set is not full).
+        # With a zero budget and no DMA line resident, plain LRU too.
+        end = base + self.ways
+        way = self.ways - 1
+        states = self._state
+        if states.count(_DMA, base, end) >= self.ddio_ways:
+            victim = states.rfind(_DMA, base, end)
+            if victim >= 0:
+                way = victim - base
+        evicted = self._evict(base + way)
+        pool = self._ddio_pool
+        now = self._clock() if pool is not None else 0.0
+        self._put_mru(base, way, line_addr, _DMA, now)
+        if pool is not None:
+            pool.acquire(now, 1)
         return "alloc", evicted
 
     def writeback_update(self, line_addr: int) -> bool:
         """Mark a resident line dirty (core writeback). Returns hit."""
-        lines = self._set_for(line_addr)
-        idx = self._find(lines, line_addr)
-        if idx is None:
+        base = (line_addr % self.n_sets) * self.ways
+        way = self._find(base, line_addr)
+        if way < 0:
             return False
-        line = lines.pop(idx)
-        line.dirty = True
-        lines.insert(0, line)
+        slot = base + way
+        self._put_mru(
+            base, way, line_addr, self._state[slot] | _DIRTY, self._t_dma[slot]
+        )
         return True
-
-    # ------------------------------------------------------------------
-    # Installs
-    # ------------------------------------------------------------------
-
-    def _install(self, lines: List[_Line], new: _Line) -> Optional[int]:
-        """Plain LRU install; returns evicted dirty address if any."""
-        evicted_dirty = None
-        if len(lines) >= self.ways:
-            victim = lines.pop()
-            if victim.dirty:
-                evicted_dirty = victim.addr
-            if victim.is_dma and self._ddio_pool is not None:
-                self._dma_evicted(victim, self._clock())
-        lines.insert(0, new)
-        return evicted_dirty
-
-    def _install_dma(self, lines: List[_Line], new: _Line) -> Optional[int]:
-        """DDIO install: victims come from the DMA way budget first."""
-        dma_count = sum(1 for line in lines if line.is_dma)
-        evicted_dirty = None
-        pool = self._ddio_pool
-        now = self._clock() if pool is not None else 0.0
-        if dma_count >= self.ddio_ways:
-            # Evict the LRU DMA line (scan from the LRU end).
-            for i in range(len(lines) - 1, -1, -1):
-                if lines[i].is_dma:
-                    victim = lines.pop(i)
-                    if victim.dirty:
-                        evicted_dirty = victim.addr
-                    if pool is not None:
-                        self._dma_evicted(victim, now)
-                    break
-        elif len(lines) >= self.ways:
-            victim = lines.pop()
-            if victim.dirty:
-                evicted_dirty = victim.addr
-            if victim.is_dma and pool is not None:
-                self._dma_evicted(victim, now)
-        if pool is not None:
-            self._dma_installed(new, now)
-        lines.insert(0, new)
-        return evicted_dirty
 
     # ------------------------------------------------------------------
     # Prewarm
@@ -271,43 +293,60 @@ class LastLevelCache:
         set-congruent (``addr % n_sets`` names the set holding it —
         the :meth:`verify_tags` invariant).
 
-        Idempotent: re-prewarming a cache that already holds the
-        synthetic lines re-dirties them in place instead of installing
-        duplicate tags. Victims (core-LRU first) are evicted per
-        install, exactly as organic DMA traffic would evict them.
+        Set by set, line ``k`` of the budget is ``base + set + k *
+        n_sets``, installed in order ``k = 0, 1, ...`` at MRU. A cold
+        cache takes that state in bulk. Otherwise each install walks
+        its set: a resident synthetic line is re-dirtied in place
+        (idempotent re-prewarm, no duplicate tags), and a full set
+        evicts its LRU core line first, its LRU DMA line only when
+        every way is DMA-tagged — exactly as organic DMA traffic would.
         """
-        base = base_line - base_line % self.n_sets
+        ddio_ways = self.ddio_ways
+        if not ddio_ways:
+            return
+        n_sets = self.n_sets
+        ways = self.ways
+        base = base_line - base_line % n_sets
         pool = self._ddio_pool
         now = self._clock() if pool is not None else 0.0
-        n_sets = self.n_sets
-        for set_index, lines in enumerate(self._sets):
-            for k in range(self.ddio_ways):
+        tags = self._tags
+        if tags[::ways].count(_EMPTY) == n_sets:
+            # Cold: every MRU way is invalid, so every set is empty and
+            # no install evicts. Line k ends at way ddio_ways-1-k of its
+            # set; fill each way column across all sets at once.
+            for way in range(ddio_ways):
+                first = base + (ddio_ways - 1 - way) * n_sets
+                tags[way::ways] = array("q", range(first, first + n_sets))
+                self._state[way::ways] = bytes((_DMA,)) * n_sets
+                self._t_dma[way::ways] = array("d", [now]) * n_sets
+            if pool is not None:
+                # The unit acquires this replaces all happen at `now`:
+                # after the first, dt == 0, so one acquire of every
+                # credit gives the same occupancy integral and peak.
+                pool.acquire(now, n_sets * ddio_ways)
+            return
+        states = self._state
+        for set_index in range(n_sets):
+            start = set_index * ways
+            end = start + ways
+            for k in range(ddio_ways):
                 addr = base + set_index + k * n_sets
-                idx = self._find(lines, addr)
-                if idx is not None:
-                    line = lines.pop(idx)
-                    line.dirty = True
-                    if not line.is_dma:
-                        line.is_dma = True
-                        if pool is not None:
-                            self._dma_installed(line, now)
-                    lines.insert(0, line)
+                way = self._find(start, addr)
+                if way >= 0:
+                    self._promote_dma(start, way, addr)
                     continue
-                if len(lines) >= self.ways:
-                    # Evict the LRU core line; fall back to the LRU DMA
-                    # line only when every way is already DMA-tagged.
-                    victim_idx = len(lines) - 1
-                    for i in range(len(lines) - 1, -1, -1):
-                        if not lines[i].is_dma:
-                            victim_idx = i
-                            break
-                    victim = lines.pop(victim_idx)
-                    if victim.is_dma and pool is not None:
-                        self._dma_evicted(victim, now)
-                new = _Line(addr, dirty=True, is_dma=True)
+                way = ways - 1
+                if tags[end - 1] != _EMPTY:
+                    core = max(
+                        states.rfind(_CLEAN, start, end),
+                        states.rfind(_DIRTY, start, end),
+                    )
+                    if core >= 0:
+                        way = core - start
+                    self._evict(start + way)
+                self._put_mru(start, way, addr, _DMA, now)
                 if pool is not None:
-                    self._dma_installed(new, now)
-                lines.insert(0, new)
+                    pool.acquire(now, 1)
 
     # ------------------------------------------------------------------
     # Invariants / introspection
@@ -315,38 +354,45 @@ class LastLevelCache:
 
     def dma_lines(self) -> int:
         """Resident DMA-tagged lines (the llc.ddio credits held)."""
-        return sum(
-            1 for lines in self._sets for line in lines if line.is_dma
-        )
+        return self._state.count(_DMA)
 
     def verify_tags(self) -> int:
         """Tag-store structural invariants (REPRO_VALIDATE probe walk).
 
         Every line's address must map to the set holding it, tags must
-        be unique within a set, and no set may exceed the
-        associativity. Returns the number of lines checked; raises
-        ``AssertionError`` on any violation (wrapped into an
-        ``InvariantViolation`` by the validator probe).
+        be unique within a set, the valid ways must be a prefix of the
+        set, and every state byte must be clean, dirty or DMA. Returns
+        the number of lines checked; raises ``AssertionError`` on any
+        violation (wrapped into an ``InvariantViolation`` by the
+        validator probe).
         """
-        checked = 0
+        states = self._state
+        assert (
+            states.count(_CLEAN) + states.count(_DIRTY) + states.count(_DMA)
+            == len(states)
+        ), "bad line state: not clean, dirty or DMA"
         n_sets = self.n_sets
-        for set_index, lines in enumerate(self._sets):
-            assert len(lines) <= self.ways, (
-                f"set {set_index}: {len(lines)} lines exceed "
-                f"{self.ways} ways"
+        ways = self.ways
+        tags = self._tags.tolist()
+        homes = [addr % n_sets for addr in tags]
+        checked = 0
+        for set_index in range(n_sets):
+            start = set_index * ways
+            lines = tags[start:start + ways]
+            n = ways - lines.count(_EMPTY)
+            live = lines[:n]
+            assert _EMPTY not in live, (
+                f"set {set_index}: invalid way inside the MRU prefix"
             )
-            seen = set()
-            for line in lines:
-                home = line.addr % n_sets
-                assert home == set_index, (
-                    f"set {set_index}: line addr {line.addr} maps to "
-                    f"set {home}"
-                )
-                assert line.addr not in seen, (
-                    f"set {set_index}: duplicate tag {line.addr}"
-                )
-                seen.add(line.addr)
-                checked += 1
+            assert homes[start:start + n].count(set_index) == n, (
+                f"set {set_index}: line addrs "
+                f"{[a for a in live if a % n_sets != set_index]} map to "
+                f"other sets"
+            )
+            assert len(set(live)) == n, (
+                f"set {set_index}: duplicate tag in {live}"
+            )
+            checked += n
         return checked
 
     @property

@@ -18,6 +18,7 @@ from repro.sim.engine import Simulator
 from repro.telemetry.counters import OccupancyCounter
 from repro.telemetry.littleslaw import littles_law_latency, littles_law_occupancy
 from repro.uncore.llc import LastLevelCache
+from tests.llc_reference import store_contents
 
 
 class TestEngineProperties:
@@ -130,8 +131,7 @@ class TestLlcProperties:
                 llc.write_allocate_ddio(addr)
             else:
                 llc.lookup_read(addr)
-        for lines in llc._sets:
-            assert len(lines) <= llc.ways
+        llc.verify_tags()  # the valid ways of a set fit its associativity
 
     @given(st.lists(st.integers(min_value=0, max_value=4095), min_size=1, max_size=300))
     @settings(max_examples=40)
@@ -139,8 +139,8 @@ class TestLlcProperties:
         llc = LastLevelCache(32 * 1024, ways=4, ddio_ways=2)
         for addr in addresses:
             llc.write_allocate_ddio(addr)
-        for lines in llc._sets:
-            assert sum(1 for line in lines if line.is_dma) <= llc.ddio_ways
+        for lines in store_contents(llc):
+            assert sum(1 for line in lines if line[2]) <= llc.ddio_ways
 
     @given(st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=200))
     @settings(max_examples=40)

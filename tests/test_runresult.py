@@ -10,6 +10,7 @@ from repro.sim.records import Request, RequestSource
 from repro.telemetry.counters import CounterHub
 from repro.uncore.cha import CHA
 from repro.uncore.llc import LastLevelCache
+from tests.pyrun import run_python
 
 WARMUP = 8_000.0
 MEASURE = 20_000.0
@@ -21,6 +22,27 @@ def mixed_run():
     host.add_stream_cores(2, store_fraction=0.5)
     host.add_raw_dma(RequestKind.WRITE, name="dma")
     return host.run(WARMUP, MEASURE)
+
+
+class TestHashSeedIndependence:
+    def test_per_class_key_order_ignores_hash_seed(self):
+        """The per-class dicts are keyed in sorted order, so a result
+        is the same object under any ``PYTHONHASHSEED``."""
+        script = (
+            "from repro import Host, RequestKind, cascade_lake\n"
+            "host = Host(cascade_lake(), seed=3)\n"
+            "host.add_stream_cores(2, store_fraction=0.5)\n"
+            "host.add_raw_dma(RequestKind.WRITE, name='dma')\n"
+            "r = host.run(1_000.0, 3_000.0)\n"
+            "print([list(d) for d in (r.mem_bw_by_class, r.lines_read_by_class,"
+            " r.lines_written_by_class, r.row_miss_ratio)])\n"
+        )
+        keys = [
+            run_python(script, env={"PYTHONHASHSEED": seed})
+            for seed in ("1", "3")
+        ]
+        assert keys[0] == keys[1]
+        assert "['c2m', 'p2m']" in keys[0]
 
 
 class TestRunResultHelpers:

@@ -60,7 +60,7 @@ assert result.invariant_checks > 0, "validator ran no checks"
 assert result.mem_bw_total > 0, "no traffic simulated"
 
 # SoA channel kernel: drive the default (kernel-on) path explicitly and
-# cross-check its incremental structures, with and without numpy.
+# cross-check its incremental structures.
 import repro.dram.kernel as kernel_mod
 from repro.sim.records import Request, RequestSource
 
@@ -88,15 +88,13 @@ def kernel_smoke():
     channel.kernel.verify_consistency()
     stats = channel.stats
     assert stats.lines_read == 8 and stats.lines_written == 8
-    return channel.kernel.bank_state()
+    open_row, _, prep = channel.kernel.bank_state()
+    assert len(open_row) == 8 and not any(prep), "bank_state snapshot"
 
-with_np = kernel_smoke()
-kernel_mod.np = None  # pure-python fallback must behave identically
-without_np = kernel_smoke()
-assert list(with_np[0]) == list(without_np[0]), "bank_state diverged"
+kernel_smoke()
 
 print(f"3.10 smoke: {result.invariant_checks} invariant checks passed; "
-      "kernel smoke (numpy on/off) OK")
+      "kernel smoke OK")
 """
 
 
